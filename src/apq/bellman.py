@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, SolveError
+from ._roots import bisect, expand
+from .errors import DomainError
 from .geometry import Point, Region, classify, in_domain, on_gamma1
 from .implicit_v import solve_v_III, solve_v_IV
 from .params import AinfConstants, DerivedConstants, Params, ainf_constants
@@ -241,29 +242,9 @@ def evaluate_ainf(x1: float, x2: float, q: float) -> BellmanValue:
         # Collinearity of (x1,x2), (1,0), (v, log v):  (v-1)/log v = (x1-1)/x2.
         ratio = (x1 - 1.0) / x2
         f = lambda u: math.expm1(u) / u - ratio  # u = log v < 0
-        lo, n = -0.5, 0
         f_hi = 1.0 - ratio  # limit at u -> 0
-        f_lo = f(lo)
-        while (f_lo > 0.0) == (f_hi > 0.0):
-            lo *= 4.0
-            n += 1
-            if n > 60:
-                raise SolveError(f"no chord parameter for limiting-class point ({x1}, {x2})")
-            f_lo = f(lo)
-        hi = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, fm
-            else:
-                hi = mid
-        v = math.exp(0.5 * (lo + hi))
+        lo, f_lo = expand(f, -0.5, 4.0, f_hi, 60, "limiting-class chord parameter")
+        v = math.exp(bisect(f, lo, 0.0, f_lo, f_hi))
         return BellmanValue(value=(x1 - v) / (1.0 - v), region=region, v=v)
     # Region IV: v solves v*x2 = (x1 - v)/gamma_plus + v*log v on [x1/gp, x1], and
     #   B = gp/(gp-1) / (1 - v_minus) * (x1 - x2*v - v*(1 - log v)) * (v/v_minus)**(1/(gp-1)),
@@ -277,19 +258,7 @@ def evaluate_ainf(x1: float, x2: float, q: float) -> BellmanValue:
     elif abs(f_hi) <= 1e-13 * max(1.0, abs(x1)):
         v = hi
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, fm
-            else:
-                hi, f_hi = mid, fm
-        v = 0.5 * (lo + hi)
+        v = bisect(f, lo, hi, f_lo, f_hi)
     value = ((gp / (gp - 1.0)) / (1.0 - a.v_minus) * (x1 - x2 * v - v * (1.0 - math.log(v)))
              * math.exp((math.log(v) - math.log(a.v_minus)) / (gp - 1.0)))
     return BellmanValue(value=value, region=region, v=v)

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import bellman, rh, verify
-from .errors import ApqError, DomainError
+from .errors import ApqError, DomainError, SolveError
 from .extremal import build
 from .geometry import classify, in_domain
 from .params import Params, ainf_constants, derive_constants
@@ -231,29 +231,30 @@ def _run(args) -> int:
         n = args.grid
         if n < 2:
             raise DomainError("--grid must be at least 2")
-        rows = []
         if _is_ainf(args):
-            a = ainf_constants(args.q)
-            r_lo, r_hi = a.v_minus * a.gamma_minus, a.v_plus * a.gamma_plus
+            k = ainf_constants(args.q)
             lq = math.log(args.q)
-            for i in range(n):
-                r = r_lo * (r_hi / r_lo) ** (i / (n - 1.0))
-                for j in range(n):
-                    qfrac = j / (n - 1.0)
-                    x1, x2 = r, math.log(r) - qfrac * lq
-                    res = bellman.evaluate_ainf(x1, x2, args.q)
-                    rows.append((x1, x2, res.region.value, res.value))
+
+            def at(r: float, qfrac: float):
+                x1, x2 = r, math.log(r) - qfrac * lq
+                return x1, x2, bellman.evaluate_ainf(x1, x2, args.q)
         else:
             p = Params(args.p1, args.p2, args.q)
-            c = derive_constants(p)
-            r_lo, r_hi = c.v_minus * c.gamma_minus, c.v_plus * c.gamma_plus
-            for i in range(n):
-                r = r_lo * (r_hi / r_lo) ** (i / (n - 1.0))
-                for j in range(n):
-                    qfrac = j / (n - 1.0)
-                    x = (r**p.p1, (r * args.q ** (-qfrac)) ** p.p2)
-                    res = bellman.evaluate(x, c, p)
-                    rows.append((x[0], x[1], res.region.value, res.value))
+            k = c = derive_constants(p)
+
+            def at(r: float, qfrac: float):
+                x = (r**p.p1, (r * args.q ** (-qfrac)) ** p.p2)
+                return x[0], x[1], bellman.evaluate(x, c, p)
+        r_lo, r_hi = k.v_minus * k.gamma_minus, k.v_plus * k.gamma_plus
+        if r_lo == 0.0 or not math.isfinite(r_hi):
+            raise SolveError(f"scan range [{r_lo}, {r_hi}] of unit-curve parameters "
+                             "is not representable in double precision")
+        rows = []
+        for i in range(n):
+            r = r_lo * (r_hi / r_lo) ** (i / (n - 1.0))
+            for j in range(n):
+                x1, x2, res = at(r, j / (n - 1.0))
+                rows.append((x1, x2, res.region.value, res.value))
         if args.format == "json":
             doc = [{"x1": a, "x2": b, "region": r, "B": v} for a, b, r, v in rows]
             _emit(_to_json(doc), args.out)

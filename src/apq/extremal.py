@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._roots import bisect, expand, golden_max
 from .errors import DomainError, SolveError
 from .geometry import (Point, Region, classify, gamma1_point, in_domain,
                        log_ratio, on_gamma1, on_gammaq)
@@ -63,27 +64,6 @@ class Region2Segment:
     lengths: tuple[float, float, float]
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_extremum(f, lo: float, hi: float, maximize: bool, iters: int = 50) -> float:
-    sgn = 1.0 if maximize else -1.0
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = sgn * f(c1), sgn * f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = sgn * f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = sgn * f(c1)
-    return sgn * max(f1, f2)
-
-
 def _chord_inside(a: Point, b: Point, p: Params, samples: int = _CHORD_SAMPLES,
                   slack: float = 1e-10) -> bool:
     """Whole segment [a, b] inside the domain.
@@ -112,12 +92,12 @@ def _chord_inside(a: Point, b: Point, p: Params, samples: int = _CHORD_SAMPLES,
     i_max = max(range(samples), key=lambda i: vals[i])
     lo = (i_max - 1) / (samples - 1.0) if i_max > 0 else 0.0
     hi = (i_max + 1) / (samples - 1.0) if i_max < samples - 1 else 1.0
-    if _golden_extremum(f, lo, hi, maximize=True) > lq + tol:
+    if golden_max(f, lo, hi, 50)[1] > lq + tol:
         return False
     i_min = min(range(samples), key=lambda i: vals[i])
     lo = (i_min - 1) / (samples - 1.0) if i_min > 0 else 0.0
     hi = (i_min + 1) / (samples - 1.0) if i_min < samples - 1 else 1.0
-    return _golden_extremum(f, lo, hi, maximize=False) >= -tol
+    return golden_max(lambda t: -f(t), lo, hi, 50)[1] <= tol  # the minimum >= -tol
 
 
 def _second_crossing(u: float, x: Point, p: Params) -> float | None:
@@ -145,30 +125,11 @@ def _crossing_above_one(ratio: float, p: Params) -> float | None:
     f_at_one = p.p1 / p.p2 - ratio
     if f_at_one == 0.0:
         return None
-    s_hi, n = 0.5, 0
-    f_hi = f(s_hi)
-    while (f_hi > 0.0) == (f_at_one > 0.0):
-        s_hi *= 4.0
-        n += 1
-        if n > 60 or not math.isfinite(s_hi):
-            return None
-        f_hi = f(s_hi)
-        if math.isnan(f_hi):
-            return None
-    lo, hi, flo = 0.0, s_hi, f_at_one
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+    try:
+        s_hi, f_hi = expand(f, 0.5, 4.0, f_at_one, 60, "unit-curve crossing with u > 1")
+    except SolveError:
+        return None
+    return math.exp(bisect(f, 0.0, s_hi, f_at_one, f_hi))
 
 
 def region1_chord(x: Point, c: DerivedConstants, p: Params,
@@ -323,9 +284,20 @@ def region2_segment(x: Point, c: DerivedConstants, p: Params) -> Region2Segment:
     raise SolveError(f"no admissible tangent-to-tangent segment through {x}")
 
 
+def _tangent_mix(x: Point, c: DerivedConstants, p: Params) -> tuple[float, float]:
+    """Tangent parameter v of a region-IV point and its mixing weight lam in
+    [0, 1] between the unit-curve base point and the extreme-curve touch point."""
+    v = solve_v_IV(x, c, p)
+    y1 = (c.gamma_plus * v) ** p.p1
+    vp1 = v**p.p1
+    lam = 1.0 if on_gammaq(x, p) else (x[0] - vp1) / (y1 - vp1)
+    return v, min(max(lam, 0.0), 1.0)
+
+
 def _boundary_iv_pieces(v: float, c: DerivedConstants, p: Params,
-                        lam: float = 1.0) -> list[Piece]:
-    """Extreme-curve profile for tangent parameter v, dilated into [0, lam]."""
+                        lam: float, tail_end: float) -> list[Piece]:
+    """Extreme-curve profile for tangent parameter v, dilated into [0, lam],
+    with its power tail run out to tail_end."""
     a = math.exp(math.log(v / c.v_minus) / c.nu)
     rho = (c.gamma_minus**p.p1 - c.v_minus**p.p1) / (1.0 - c.v_minus**p.p1)
     b1 = rho * a * lam
@@ -335,13 +307,13 @@ def _boundary_iv_pieces(v: float, c: DerivedConstants, p: Params,
         pieces.append(ConstPiece(0.0, b1, 1.0))
     if b2 > b1:
         pieces.append(ConstPiece(b1, b2, c.v_minus))
-    if lam > b2:
+    if tail_end > b2:
         coef = c.v_minus * b2**c.nu
         if not (coef > 0.0 and math.isfinite(coef)):
             raise SolveError(
                 f"power-tail coefficient {coef} not representable in double "
                 f"precision (nu={c.nu}); parameters too extreme")
-        pieces.append(PowerPiece(b2, lam, coef, c.nu))
+        pieces.append(PowerPiece(b2, tail_end, coef, c.nu))
     return pieces
 
 
@@ -396,14 +368,10 @@ def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPla
         return _verified(Weight(tuple(pieces)), plan, x, p)
 
     # Region IV
-    v = solve_v_IV(x, c, p)
-    y1 = (c.gamma_plus * v) ** p.p1
-    vp1 = v**p.p1
-    lam = 1.0 if on_gammaq(x, p) else (x[0] - vp1) / (y1 - vp1)
-    lam = min(max(lam, 0.0), 1.0)
+    v, lam = _tangent_mix(x, c, p)
     if lam <= 0.0:
         raise SolveError(f"degenerate tangent mixing weight at {x}")
-    pieces = _boundary_iv_pieces(v, c, p, lam)
+    pieces = _boundary_iv_pieces(v, c, p, lam, lam)
     if lam < 1.0:
         pieces.append(ConstPiece(lam, 1.0, v))
     a = math.exp(math.log(v / c.v_minus) / c.nu)
@@ -417,21 +385,8 @@ def extended_iv_weight(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight
     Returns (weight, v); its level-v floor (cutoff_above) must agree with
     build(x) pointwise, which the test suite checks.
     """
-    v = solve_v_IV(x, c, p)
-    y1 = (c.gamma_plus * v) ** p.p1
-    vp1 = v**p.p1
-    lam = 1.0 if on_gammaq(x, p) else (x[0] - vp1) / (y1 - vp1)
-    lam = min(max(lam, 0.0), 1.0)
-    a = math.exp(math.log(v / c.v_minus) / c.nu)
-    rho = (c.gamma_minus**p.p1 - c.v_minus**p.p1) / (1.0 - c.v_minus**p.p1)
-    b1, b2 = rho * a * lam, a * lam
-    pieces: list[Piece] = []
-    if b1 > 0.0:
-        pieces.append(ConstPiece(0.0, b1, 1.0))
-    if b2 > b1:
-        pieces.append(ConstPiece(b1, b2, c.v_minus))
-    if 1.0 > b2:
-        pieces.append(PowerPiece(b2, 1.0, c.v_minus * b2**c.nu, c.nu))
+    v, lam = _tangent_mix(x, c, p)
+    pieces = _boundary_iv_pieces(v, c, p, lam, 1.0)
     return Weight(tuple(pieces)), v
 
 

@@ -34,7 +34,6 @@ class Region(enum.Enum):
     III = "III"
     IV = "IV"
     GAMMA1 = "Gamma1"
-    GAMMAQ = "GammaQ"
     OUTSIDE = "Outside"
 
 
@@ -132,8 +131,8 @@ def _split_quantities(x: Point, c: DerivedConstants, p: Params):
 def classify(x: Point, c: DerivedConstants, p: Params) -> Region:
     """Open-region tag of x (I..IV); Outside when not in the domain.
 
-    Curve tags (Gamma1/GammaQ) are only produced by the explicit membership
-    queries on_gamma1/on_gammaq, never by classify.
+    Points on the two boundary curves are told apart by the explicit
+    membership queries on_gamma1/on_gammaq, never by classify.
     """
     if not in_domain(x, p):
         return Region.OUTSIDE

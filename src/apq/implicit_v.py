@@ -20,7 +20,8 @@ equals the (signed) distance of x2 from the extreme curve and the unit curve
 respectively, so the bracket always carries a sign change; the second root of
 the equation lies below r/gamma_plus and never enters the bracket.
 
-Both solvers finish with a couple of Newton polish steps on the raw residual.
+Both solvers bisect with the helpers in ``_roots`` and finish with its
+guarded Newton polish on the raw residual.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._roots import bisect, expand, newton_polish
 from .errors import DomainError, SolveError
 from .geometry import Point, Region, classify, in_domain
 from .params import DerivedConstants, Params, derive_constants
-
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,10 @@ class GradientDiagnostics:
 
     upsilon = p2*v**p2*(1-x1) - p1*v**p1*(1-x2)   (chord-equation derivative scale)
     pi      = A*x1/v**(p1+1) - x2/v**(p2+1)       (negative throughout region IV)
-    fv      = v**p2 / (v**p2 - 1)
     """
 
     upsilon: float
     pi: float
-    fv: float
 
 
 def chord_residual(v: float, x: Point, p: Params) -> float:
@@ -100,13 +98,10 @@ def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
     (x1-1)/(x2-1) falls outside the range of h on (0, 1).
     """
     x1, x2 = x
+    residual = lambda v: chord_residual(v, x, p)
+    slope = lambda v: p.p2 * v ** (p.p2 - 1.0) * (1.0 - x1) - p.p1 * v ** (p.p1 - 1.0) * (1.0 - x2)
     if v0 is not None and 0.0 < v0 < 1.0:
-        got = _newton_warm(
-            x,
-            lambda v: chord_residual(v, x, p),
-            lambda v: p.p2 * v ** (p.p2 - 1.0) * (1.0 - x1)
-            - p.p1 * v ** (p.p1 - 1.0) * (1.0 - x2),
-            v0, 0.0, 1.0, lambda v: _chord_scale(v, x, p))
+        got = _newton_warm(x, residual, slope, v0, 0.0, 1.0, lambda v: _chord_scale(v, x, p))
         if got is not None:
             return got
     if abs(x1 - 1.0) < 1e-14 and abs(x2 - 1.0) < 1e-14:
@@ -122,41 +117,9 @@ def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
     f_at_one = p.p1 / p.p2 - ratio  # limit of h as v -> 1
     if f_at_one == 0.0:
         raise SolveError("chord through (1,1) is tangent to the unit curve; no second crossing")
-    u_lo, n = -0.5, 0
-    f_lo = h_of_u(u_lo)
-    while (f_lo > 0.0) == (f_at_one > 0.0):
-        u_lo *= 4.0
-        n += 1
-        if n > 60:
-            raise SolveError(f"no unit-curve crossing with v < 1 for x={x}")
-        f_lo = h_of_u(u_lo)
-    lo, hi, flo, fhi = u_lo, 0.0, f_lo, f_at_one
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = h_of_u(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    v = math.exp(0.5 * (lo + hi))
-
-    # Newton polish on the raw chord residual.
-    for _ in range(3):
-        g = chord_residual(v, x, p)
-        dg = p.p2 * v ** (p.p2 - 1.0) * (1.0 - x1) - p.p1 * v ** (p.p1 - 1.0) * (1.0 - x2)
-        if dg == 0.0:
-            break
-        step = g / dg
-        v_new = v - step
-        if not (0.0 < v_new < 1.0):
-            break
-        if abs(chord_residual(v_new, x, p)) < abs(g):
-            v = v_new
+    u_lo, f_lo = expand(h_of_u, -0.5, 4.0, f_at_one, 60, "unit-curve crossing with v < 1")
+    v = math.exp(bisect(h_of_u, u_lo, 0.0, f_lo, f_at_one))
+    v = newton_polish(residual, slope, v, 0.0, 1.0)
 
     res = abs(chord_residual(v, x, p)) / _chord_scale(v, x, p)
     if res > 1e-11:
@@ -176,16 +139,12 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
     v_lo = r / c.gamma_plus
     v_hi = r
 
-    def f(v: float) -> float:
-        return tangent_residual(v, x, c, p)
-
+    c0 = (p.p2 / p.p1) * c.A
+    f = lambda v: tangent_residual(v, x, c, p)
+    slope = lambda v: (c0 * (p.p2 - p.p1) * x1 * v ** (p.p2 - p.p1 - 1.0)
+                       + (1.0 - c0) * p.p2 * v ** (p.p2 - 1.0))
     if v0 is not None and v_lo < v0 < v_hi:
-        c0 = (p.p2 / p.p1) * c.A
-        got = _newton_warm(
-            x, f,
-            lambda v: c0 * (p.p2 - p.p1) * x1 * v ** (p.p2 - p.p1 - 1.0)
-            + (1.0 - c0) * p.p2 * v ** (p.p2 - 1.0),
-            v0, v_lo, v_hi, lambda v: _tangent_scale(v, x, c, p))
+        got = _newton_warm(x, f, slope, v0, v_lo, v_hi, lambda v: _tangent_scale(v, x, c, p))
         if got is not None:
             return got
 
@@ -210,32 +169,8 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
         i = changes[0]
         v_lo, v_hi, f_lo, f_hi = grid[i], grid[i + 1], vals[i], vals[i + 1]
 
-    lo, hi, flo, fhi = v_lo, v_hi, f_lo, f_hi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    v = 0.5 * (lo + hi)
-
-    c0 = (p.p2 / p.p1) * c.A
-    for _ in range(3):
-        g = f(v)
-        dg = c0 * (p.p2 - p.p1) * x1 * v ** (p.p2 - p.p1 - 1.0) + (1.0 - c0) * p.p2 * v ** (p.p2 - 1.0)
-        if dg == 0.0:
-            break
-        v_new = v - g / dg
-        if not (0.0 < v_new):
-            break
-        if abs(f(v_new)) < abs(g):
-            v = v_new
+    v = bisect(f, v_lo, v_hi, f_lo, f_hi)
+    v = newton_polish(f, slope, v, 0.0, math.inf)
 
     res = abs(f(v)) / _tangent_scale(v, x, c, p)
     if res > 1e-11:
@@ -261,9 +196,7 @@ def diagnostics(x: Point, region: Region, p: Params,
     x1, x2 = x
     upsilon = p.p2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (1.0 - x2)
     pi = c.A * x1 / v ** (p.p1 + 1.0) - x2 / v ** (p.p2 + 1.0)
-    vp2 = v**p.p2
-    fv = vp2 / (vp2 - 1.0) if vp2 != 1.0 else math.inf
-    return GradientDiagnostics(upsilon=upsilon, pi=pi, fv=fv)
+    return GradientDiagnostics(upsilon=upsilon, pi=pi)
 
 
 def dv_sign_check(x: Point, region: Region, p: Params,

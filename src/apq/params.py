@@ -9,7 +9,8 @@ the scalar tangency equation
 
 whose left-hand side is monotone on each side of t = 1 (the sign of its
 derivative is sig(p2 * (t - 1))), so both roots are found by bracketed
-bisection with a guaranteed sign change.
+bisection with a guaranteed sign change (``_roots.expand`` and
+``_roots.bisect``).
 
 Derived constants:
 
@@ -30,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
+from ._roots import bisect, expand
 from .errors import DomainError, SolveError
 
 _BRACKET_EXPANSIONS = 200
-_BISECT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -122,33 +124,12 @@ def gamma_residual_scale(t: float, p: Params) -> float:
     return max(abs(p.q**p.p2), abs((1.0 - r) * t**p.p2), abs(r * t ** (p.p2 - p.p1)))
 
 
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Plain bisection on a bracketing interval, run to float exhaustion."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise SolveError("bisection called without a sign change")
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def solve_gammas(p: Params) -> tuple[float, float]:
     """Both roots of the tangency equation, gamma_minus < 1 < gamma_plus.
 
-    Raises SolveError if bracket expansion exhausts its budget (pathological
-    parameters, e.g. Q - 1 at machine-noise scale) or the residual is poor.
+    Raises SolveError if bracket expansion exhausts its budget or leaves
+    double precision (pathological parameters, e.g. Q - 1 at machine-noise
+    scale or p1 - p2 tiny) or the residual is poor.
     """
     target = p.q**p.p2
     # Work in s = log(t): roots can sit hundreds of orders of magnitude from 1
@@ -157,29 +138,12 @@ def solve_gammas(p: Params) -> tuple[float, float]:
     g = lambda s: gamma_equation(math.exp(s), p) - target
     g1 = g(0.0)  # equals 1 - Q**p2, nonzero since Q > 1
 
-    # Lower root in (0, 1): expand toward 0 until the sign flips.
-    lo = -0.7
-    flo = g(lo)
-    n = 0
-    while (flo > 0.0) == (g1 > 0.0):
-        lo *= 4.0
-        n += 1
-        if n > _BRACKET_EXPANSIONS or not math.isfinite(flo):
-            raise SolveError("could not bracket the lower tangency root")
-        flo = g(lo)
-    gamma_minus = math.exp(_bisect(g, lo, 0.0, flo, g1))
-
-    # Upper root in (1, inf): expand toward infinity.
-    hi = 0.7
-    fhi = g(hi)
-    n = 0
-    while (fhi > 0.0) == (g1 > 0.0):
-        hi *= 4.0
-        n += 1
-        if n > _BRACKET_EXPANSIONS or not math.isfinite(fhi):
-            raise SolveError("could not bracket the upper tangency root")
-        fhi = g(hi)
-    gamma_plus = math.exp(_bisect(g, 0.0, hi, g1, fhi))
+    # Lower root in (0, 1): expand toward 0 until the sign flips; upper root
+    # in (1, inf): expand toward infinity.
+    lo, flo = expand(g, -0.7, 4.0, g1, _BRACKET_EXPANSIONS, "lower tangency root")
+    gamma_minus = math.exp(bisect(g, lo, 0.0, flo, g1))
+    hi, fhi = expand(g, 0.7, 4.0, g1, _BRACKET_EXPANSIONS, "upper tangency root")
+    gamma_plus = math.exp(bisect(g, 0.0, hi, g1, fhi))
 
     for root in (gamma_minus, gamma_plus):
         residual = gamma_equation(root, p) - target
@@ -224,10 +188,17 @@ def _check_constants(c: DerivedConstants, p: Params) -> None:
         raise SolveError("v_minus out of (0, 1)")
     if not 0.0 < c.A < 1.0:
         raise SolveError("factor A out of (0, 1)")
-    # nu relations; the p2 one is a consequence of the p1 one.
-    r1 = 1.0 / (1.0 - c.nu * p.p1)
-    t1 = c.gamma_plus**p.p1
-    if abs(r1 - t1) > 1e-10 * abs(t1):
+    # nu relations; the p2 one is a consequence of the p1 one.  The p1
+    # relation nu*p1 = 1 - gamma_plus**-p1 is tested on the side that does
+    # not cancel: nu*p1 once gamma_plus**-p1 < 1/2 (large classes, where
+    # 1 - nu*p1 falls to roundoff), else 1 - nu*p1 (Q near 1, where nu*p1 is
+    # itself a small difference).
+    y1 = c.gamma_plus ** (-p.p1)
+    if y1 < 0.5:
+        got, want = c.nu * p.p1, -math.expm1(-p.p1 * math.log(c.gamma_plus))
+    else:
+        got, want = 1.0 - c.nu * p.p1, y1
+    if abs(got - want) > 1e-10 * abs(want):
         raise SolveError("nu does not satisfy its p1 relation")
     r2 = 1.0 / (1.0 - c.nu * p.p2)
     t2 = p.q ** (-p.p2) * c.gamma_plus**p.p2
@@ -250,26 +221,14 @@ def solve_gammas_ainf(q: float) -> tuple[float, float]:
     g = lambda t: math.log(t) + 1.0 / t - target
     g1 = g(1.0)  # = -log(Q) < 0
 
-    lo, flo, n = 0.5, g(0.5), 0
-    while flo <= 0.0:
-        lo *= 0.25
-        n += 1
-        if n > _BRACKET_EXPANSIONS:
-            raise SolveError("could not bracket the lower limiting root")
-        flo = g(lo)
-    gamma_minus = _bisect(g, lo, 1.0, flo, g1)
-
-    hi, fhi, n = 2.0, g(2.0), 0
-    while fhi <= 0.0:
-        hi *= 4.0
-        n += 1
-        if n > _BRACKET_EXPANSIONS:
-            raise SolveError("could not bracket the upper limiting root")
-        fhi = g(hi)
-    gamma_plus = _bisect(g, 1.0, hi, g1, fhi)
+    lo, flo = expand(g, 0.5, 0.25, g1, _BRACKET_EXPANSIONS, "lower limiting root")
+    gamma_minus = bisect(g, lo, 1.0, flo, g1)
+    hi, fhi = expand(g, 2.0, 4.0, g1, _BRACKET_EXPANSIONS, "upper limiting root")
+    gamma_plus = bisect(g, 1.0, hi, g1, fhi)
     return gamma_minus, gamma_plus
 
 
+@lru_cache(maxsize=64)
 def ainf_constants(q: float) -> AinfConstants:
     gm, gp = solve_gammas_ainf(q)
     v_minus = gm / gp

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .bellman import evaluate_a2
 from .errors import DomainError, NonIntegrableError
 from .geometry import Point
@@ -84,6 +82,8 @@ def _require_extreme_point(q: float, x: Point) -> None:
 
 def _head_and_middle(q: float, alpha: float, x: Point) -> float:
     """(1+alpha) * integral over [0, x1/gamma_minus] of s**alpha * B."""
+    from scipy.integrate import quad  # deferred: importing scipy.integrate dominates `import apq`
+
     x1, x2 = x
     d = math.sqrt(q * q - q)
     gm, gp = q - d, q + d
@@ -136,6 +136,8 @@ def truncated_integral(q: float, alpha: float, s_max: float, x: Point | None = N
     if s_max <= x1 / gp:
         return s_max ** (1.0 + alpha)
     if s_max <= x1 / gm:
+        from scipy.integrate import quad
+
         head = (x1 / gp) ** (1.0 + alpha)
         mid, _ = quad(lambda s: (1.0 + alpha) * s**alpha * evaluate_a2((x1 / s, x2 * s), q).value,
                       x1 / gp, s_max, epsabs=1e-10, epsrel=1e-10, limit=400)

@@ -6,7 +6,7 @@ the distribution function |{w >= level}|, and level cutoffs are all exact
 closed forms; the class-norm estimator is a grid-plus-refinement lower bound
 of   sup over subintervals of  <w**p1>**(1/p1) * <w**p2>**(-1/p2).
 
-Weights are immutable; cutoffs and dilations build new values, so sharing
+Weights are immutable; cutoffs and scalings build new values, so sharing
 across verification threads is safe.
 """
 
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import golden_max
 from .errors import DomainError, NonIntegrableError
 from .params import Params
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -175,21 +174,6 @@ def scale_weight(w: Weight, s: float) -> Weight:
     return Weight(tuple(out))
 
 
-def dilate_into(w: Weight, lo: float, hi: float) -> list[tuple[float, float, float]]:
-    """Constant-piece image of w rescaled onto [lo, hi]; steps only.
-
-    Helper for assembling step weights from sub-weights; power pieces are not
-    representable after an affine shift and are rejected.
-    """
-    out = []
-    length = hi - lo
-    for pc in w.pieces:
-        if not isinstance(pc, ConstPiece):
-            raise DomainError("only step weights can be dilated into a subinterval")
-        out.append((lo + pc.lo * length, lo + pc.hi * length, pc.value))
-    return out
-
-
 def _merge_consts(pieces: list[Piece]) -> tuple[Piece, ...]:
     out: list[Piece] = []
     for pc in pieces:
@@ -279,23 +263,6 @@ def _ratio(w: Weight, p: Params, alpha: float, beta: float) -> float:
     return math.exp(math.log(m1) / p.p1 - math.log(m2) / p.p2)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
-    return (c1, f1) if f1 >= f2 else (c2, f2)
-
-
 def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     """Certified lower bound of the class norm sup over subintervals.
 
@@ -342,13 +309,13 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     a_lo = float(ts[i - 1]) if i > 0 else alpha
     a_hi = min(float(ts[i + 1]), beta * (1.0 - 1e-12)) if i + 1 < n else alpha
     if a_hi > a_lo:
-        a_new, val = _golden_max(lambda a: _ratio(w, p, a, beta), a_lo, a_hi)
+        a_new, val = golden_max(lambda a: _ratio(w, p, a, beta), a_lo, a_hi, 60)
         if val > best:
             best, alpha = val, a_new
     b_lo = max(float(ts[j - 1]), alpha + 1e-15) if j > 0 else beta
     b_hi = float(ts[j + 1]) if j + 1 < n else beta
     if b_hi > b_lo:
-        _, val = _golden_max(lambda b: _ratio(w, p, alpha, b), b_lo, b_hi)
+        _, val = golden_max(lambda b: _ratio(w, p, alpha, b), b_lo, b_hi, 60)
         if val > best:
             best = val
     return best

@@ -46,6 +46,15 @@ def test_usage_error_exit(capsys):
     assert code == 1
 
 
+def test_scan_range_underflow_exit(capsys):
+    # gamma_minus is about 6.9e-302, so the scan's lower end
+    # v_minus*gamma_minus underflows to 0.
+    code, out = run_cli(capsys, "scan", "--p1", "1", "--p2", "0.999", "--q", "2",
+                        "--grid", "4")
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_determinism(capsys):
     args = ["scan", "--p1", "1", "--p2", "-1", "--q", "2", "--grid", "12"]
     _, out1 = run_cli(capsys, *args)

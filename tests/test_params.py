@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from apq import DomainError, Params, ainf_constants, derive_constants, solve_gammas
+from apq import DomainError, Params, SolveError, ainf_constants, derive_constants, solve_gammas
 from apq.params import gamma_equation, gamma_residual_scale
 
 from conftest import gamma1, setup
@@ -126,3 +126,28 @@ def test_ainf_constants():
         assert abs(sheet(1.0, 0.0) - 1.0) <= 1e-12
         assert abs(sheet(a.v_minus, math.log(a.v_minus))) <= 1e-12
         assert abs(sheet(a.v_plus, math.log(a.v_plus)) - 1.0) <= 1e-12
+
+
+def test_bracket_overflow_is_solve_error():
+    # The upper root sits near s = log(t) = 695; the log-space bracket
+    # expansion steps from s = 179.2 to 716.8, where exp overflows.
+    with pytest.raises(SolveError):
+        derive_constants(Params(-1.0, -1.001, 2.0))
+    # Here exp(s) underflows to 0 while bracketing the lower root.
+    with pytest.raises(SolveError):
+        derive_constants(Params(1.0, 0.999, 5.0))
+
+
+def test_nu_check_large_class():
+    # gamma_plus**-p1 is about 1.3e-16, so 1 - nu*p1 is pure roundoff; the p1
+    # relation is tested on nu*p1 itself.
+    c = derive_constants(Params(5.0, 4.0, 1e3))
+    assert c.nu * 5.0 == -math.expm1(-5.0 * math.log(c.gamma_plus))
+
+
+def test_nu_check_q_near_one():
+    # Here nu*p1 = 1 - gamma_plus**-p1 is a difference of a few 1e-8 that
+    # carries roundoff of about 1e-16; the p1 relation is tested on 1 - nu*p1.
+    for p1, p2 in ((1.0, -1.0), (2.0, 1.0), (-0.5, -2.0)):
+        c = derive_constants(Params(p1, p2, 1.0 + 1e-15))
+        assert 0.0 < c.v_minus < 1.0
