@@ -6,9 +6,8 @@ tangent parameter, and their limiting-class counterparts.  All of them are
 solved the same way: grow a bracket geometrically until the sign flips
 (expand), bisect it to float exhaustion (bisect), and, for the implicit
 parameters, polish on the raw residual with guarded Newton steps
-(newton_polish).  The extremal constructions and the class-norm estimate
-maximise a unimodal ratio by golden section (golden_max); they minimise by
-negating f.
+(newton_polish).  The class-norm estimate for weights with power pieces
+maximises a unimodal ratio by golden section (golden_max).
 """
 
 from __future__ import annotations

@@ -116,7 +116,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--x2", type=float, required=True)
     sp.add_argument("--resolution", type=int, default=16)
 
-    sp = sub.add_parser("norm", help="class norm estimate of a weight JSON file")
+    sp = sub.add_parser("norm", help="class norm of a weight JSON file "
+                        "(exact for step weights)")
     _add_common(sp)
     sp.add_argument("--weight", type=str, required=True,
                     help="path to a weight JSON document")

@@ -2,10 +2,10 @@
 
 Per region (threshold 1):
 
-* I   : two-step weight on unit-curve values u, v >= 1 from a feasible chord
-        through x; the chord through (1, 1) is tried first, then u is scanned
-        over a geometric grid with the second unit-curve crossing solved per
-        candidate and the feasibility boundary pinned by bisection.
+* I   : two-step weight on unit-curve values u, v >= 1 from a unit-curve
+        chord through x that stays inside the domain: the chord through
+        (1, 1), or else (as in the sliver beyond the upper tangent line) a
+        chord through x tangent to the extreme curve, found by a root solve.
 * II  : three-step weight on values (v_minus, 1, v_plus) from a segment
         through x with endpoints on the two tangent lines from (1, 1).  The
         default segment direction is the chord between the v_minus and v_plus
@@ -20,7 +20,8 @@ Per region (threshold 1):
         extended by the constant v, which equals the level-v floor (pointwise
         max) of the dilated profile with its power tail continued to 1.
 
-Every construction verifies its own moments before returning.
+Every construction verifies its own moments before returning, and every
+chord it uses passes the exact segment test geometry.segment_in_domain.
 """
 
 from __future__ import annotations
@@ -28,17 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import bisect, expand, golden_max
+from ._roots import bisect, expand
 from .errors import DomainError, SolveError
-from .geometry import (Point, Region, classify, gamma1_point, in_domain,
-                       log_ratio, on_gamma1, on_gammaq)
+from .geometry import (Point, Region, classify, gamma1_point, in_domain, on_gamma1,
+                       on_gammaq, segment_in_domain)
 from .implicit_v import solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params
 from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
 
-_CHORD_SAMPLES = 65
 _DIRECTION_STEPS = 32
-_U_GRID = 200
 
 
 @dataclass(frozen=True)
@@ -64,61 +63,6 @@ class Region2Segment:
     lengths: tuple[float, float, float]
 
 
-def _chord_inside(a: Point, b: Point, p: Params, samples: int = _CHORD_SAMPLES,
-                  slack: float = 1e-10) -> bool:
-    """Whole segment [a, b] inside the domain.
-
-    The log-ratio along the segment is sampled and its worst cells refined by
-    golden section, so grazing excursions between samples are caught; without
-    this the feasibility-boundary bisection lands on chords that poke past
-    the extreme curve by a few 1e-4.
-    """
-    def at(t: float) -> Point:
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-    lq = math.log(p.q)
-    tol = slack * max(1.0, lq)
-    gross = 1e-5 * max(1.0, lq)
-    vals = []
-    for k in range(samples):
-        pt = at(k / (samples - 1.0))
-        if pt[0] <= 0.0 or pt[1] <= 0.0:
-            return False
-        r = log_ratio(pt, p)
-        if r > lq + gross or r < -gross:
-            return False
-        vals.append(r)
-    f = lambda t: log_ratio(at(t), p)
-    i_max = max(range(samples), key=lambda i: vals[i])
-    lo = (i_max - 1) / (samples - 1.0) if i_max > 0 else 0.0
-    hi = (i_max + 1) / (samples - 1.0) if i_max < samples - 1 else 1.0
-    if golden_max(f, lo, hi, 50)[1] > lq + tol:
-        return False
-    i_min = min(range(samples), key=lambda i: vals[i])
-    lo = (i_min - 1) / (samples - 1.0) if i_min > 0 else 0.0
-    hi = (i_min + 1) / (samples - 1.0) if i_min < samples - 1 else 1.0
-    return golden_max(lambda t: -f(t), lo, hi, 50)[1] <= tol  # the minimum >= -tol
-
-
-def _second_crossing(u: float, x: Point, p: Params) -> float | None:
-    """Unit-curve parameter v of the second crossing of the line through
-    the u-point and x, on the v < u side; None if there is none."""
-    xs = (x[0] * u ** (-p.p1), x[1] * u ** (-p.p2))  # rescale so the u-point becomes (1,1)
-    if abs(xs[1] - 1.0) < 1e-13:
-        return None
-    ratio = (xs[0] - 1.0) / (xs[1] - 1.0)
-    h0 = 1.0 if p.p2 > 0.0 else 0.0  # limit of (v**p1-1)/(v**p2-1) as v -> 0
-    h1 = p.p1 / p.p2
-    low, high = min(h0, h1), max(h0, h1)
-    if not (low < ratio < high):
-        return None
-    try:
-        vs = solve_v_III(xs, p)
-    except SolveError:
-        return None
-    return u * vs
-
-
 def _crossing_above_one(ratio: float, p: Params) -> float | None:
     """Unit-curve parameter u > 1 with (u**p1 - 1)/(u**p2 - 1) = ratio."""
     f = lambda s: math.expm1(p.p1 * s) / math.expm1(p.p2 * s) - ratio  # s = log u > 0
@@ -132,66 +76,61 @@ def _crossing_above_one(ratio: float, p: Params) -> float | None:
     return math.exp(bisect(f, 0.0, s_hi, f_at_one, f_hi))
 
 
-def region1_chord(x: Point, c: DerivedConstants, p: Params,
-                  refine: bool = True) -> tuple[float, float, float]:
+def _chord_split(x: Point, u: float, v: float, p: Params) -> tuple[float, float, float] | None:
+    """(u, v, mu) with x = mu*U(u) + (1 - mu)*U(v) on the unit curve U, or None
+    when mu leaves [0, 1], the two-step weight misses the moments of x, or
+    the chord leaves the domain."""
+    up, vp = gamma1_point(u, p), gamma1_point(v, p)
+    mu = (x[0] - vp[0]) / (up[0] - vp[0])
+    if not -1e-9 <= mu <= 1.0 + 1e-9:
+        return None
+    mu = min(max(mu, 0.0), 1.0)
+    for pk, xk in ((p.p1, x[0]), (p.p2, x[1])):
+        if abs(mu * u**pk + (1.0 - mu) * v**pk - xk) > 1e-9 * abs(xk):
+            return None
+    if not segment_in_domain(up, vp, p, 1e-10):
+        return None
+    return (u, v, mu)
+
+
+def region1_chord(x: Point, c: DerivedConstants, p: Params) -> tuple[float, float, float]:
     """Feasible unit-curve chord (u, v, mu) with u, v >= 1 through x.
 
     The chord through (1, 1) works everywhere except the sliver between the
-    upper tangent line and the extreme curve, so it is tried first; the
-    geometric u-scan covers the sliver, with a bisection onto the
-    feasibility boundary (skippable via refine=False for bulk callers that
-    only need some feasible chord).
+    upper tangent line and the extreme curve, so it is tried first.  Then
+    come the two tangents to the extreme curve through x.  The tangent from
+    unit-curve parameter v meets the unit curve again at v/v_minus; with
+    r = x1**(1/p1), the one touching before x (the sliver's) has v in
+    [r*v_minus, r/gamma_plus], the one touching after x has v in
+    [r/gamma_plus, r].  v is the root of the chord's miss of x2, whose end
+    values are the signed distances of x to the two curves; the region-IV
+    tangent residual has the same root but cancels when x2 is far below its
+    terms.  The second tangent serves extreme classes, where the chord
+    through (1, 1) loses the low digits of a tiny x2.
     """
-    r = math.exp(math.log(x[0]) / p.p1)
-
-    def candidate(u: float):
-        v = _second_crossing(u, x, p)
-        if v is None or v < 1.0 - 1e-9:
-            return None
-        if v < 1.0 + 1e-9:
-            v = 1.0  # the feasibility boundary is the chord through (1,1)
-        up, vp = gamma1_point(u, p), gamma1_point(v, p)
-        mu = (x[0] - vp[0]) / (up[0] - vp[0])
-        if not -1e-9 <= mu <= 1.0 + 1e-9:
-            return None
-        mu = min(max(mu, 0.0), 1.0)
-        for pk, xk in ((p.p1, x[0]), (p.p2, x[1])):
-            if abs(mu * u**pk + (1.0 - mu) * v**pk - xk) > 1e-9 * abs(xk):
-                return None
-        if not _chord_inside(up, vp, p):
-            return None
-        return (u, v, mu)
-
     if abs(x[1] - 1.0) > 1e-13:
-        partner = _crossing_above_one((x[0] - 1.0) / (x[1] - 1.0), p)
-        if partner is not None and partner > 1.0:
-            got = candidate(partner)
+        u = _crossing_above_one((x[0] - 1.0) / (x[1] - 1.0), p)
+        if u is not None and u > 1.0:
+            got = _chord_split(x, u, 1.0, p)
             if got is not None:
                 return got
 
-    u_lo = r * (1.0 + 1e-7)
-    u_hi = 2.0 * max(r / c.gamma_minus, c.v_plus)
-    grid = [u_lo * (u_hi / u_lo) ** (k / (_U_GRID - 1.0)) for k in range(_U_GRID)]
-    # The tangent chord through x's extreme-curve projection is the limiting
-    # feasible chord; having it on the grid keeps near-boundary points solvable.
-    grid.append(r / c.gamma_minus)
-    grid.sort()
-    prev_u = None
-    for u in grid:
-        got = candidate(u)
+    def miss(v: float) -> float:  # both mixing weights formed directly: 1 - mu cancels
+        (u1, u2), (v1, v2) = gamma1_point(v / c.v_minus, p), gamma1_point(v, p)
+        return ((x[0] - v1) * u2 + (u1 - x[0]) * v2) / (u1 - v1) - x[1]
+
+    r = math.exp(math.log(x[0]) / p.p1)
+    for lo, hi in ((r * c.v_minus, r / c.gamma_plus), (r / c.gamma_plus, r)):
+        try:
+            v = bisect(miss, lo, hi, miss(lo), miss(hi))
+        except SolveError:  # rounding hid the sign change: no chord here
+            continue
+        u = v / c.v_minus
+        if abs(v - 1.0) < 1e-9:
+            v = 1.0  # the upper tangent from (1, 1)
+        got = _chord_split(x, u, v, p) if v >= 1.0 else None
         if got is not None:
-            if prev_u is None or not refine:
-                return got
-            lo, hi = prev_u, u
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if candidate(mid) is not None:
-                    hi = mid
-                else:
-                    lo = mid
-            refined = candidate(hi)
-            return refined if refined is not None else got
-        prev_u = u
+            return got
     raise SolveError(f"no feasible unit-curve chord found through {x} in region I")
 
 
@@ -256,8 +195,6 @@ def region2_segment(x: Point, c: DerivedConstants, p: Params) -> Region2Segment:
         if not (-tol <= lam <= 1.0 + tol and -tol <= omm <= 1.0 + tol
                 and -tol <= omp <= 1.0 + tol):
             continue
-        if xm[0] <= 0.0 or xm[1] <= 0.0 or xp[0] <= 0.0 or xp[1] <= 0.0:
-            continue
         clamp = lambda t: min(max(t, 0.0), 1.0)
         lam = clamp(lam)
         lens = ((1.0 - lam) * clamp(omm),        # value v_minus
@@ -276,7 +213,7 @@ def region2_segment(x: Point, c: DerivedConstants, p: Params) -> Region2Segment:
                 ok = False
         if not ok:
             continue
-        if not (_chord_inside(xm, x, p) and _chord_inside(x, xp, p)):
+        if not (segment_in_domain(xm, x, p, 1e-10) and segment_in_domain(x, xp, p, 1e-10)):
             continue
         return Region2Segment(x_minus=xm, x_plus=xp, lam=lam,
                               mu_minus=1.0 - clamp(omm), mu_plus=1.0 - clamp(omp),

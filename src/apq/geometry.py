@@ -9,6 +9,9 @@ means a uniform relative slack on the power ratio.  The lower equality curve
 (unit curve) carries the boundary data; the upper one is the extreme-class
 curve touched by the two tangent lines from (1, 1).
 
+Whether a whole segment stays in the domain has a closed form
+(segment_log_ratio_range): log_ratio has at most one extremum along a line.
+
 The region split is written once with sign-normalized comparisons so all
 three exponent sign cases (p1 > p2 > 0, p1 > 0 > p2, 0 > p1 > p2) share one
 code path; the per-case inequality tables serve as test vectors.  Boundary
@@ -69,6 +72,33 @@ def in_domain(x: Point, p: Params, slack: float = 1e-12) -> bool:
     lq = math.log(p.q)
     s = slack * max(1.0, lq)
     return -s <= r <= lq + s
+
+
+def segment_log_ratio_range(a: Point, b: Point, p: Params) -> tuple[float, float]:
+    """(min, max) of log_ratio along the segment from a to b, exactly.
+
+    Along P + s*D the derivative D1/(p1*x1) - D2/(p2*x2) vanishes where a
+    linear equation in s holds, so there is at most one interior extremum, at
+    s* = (D2*p1*P1 - D1*p2*P2) / (D1*D2*(p2 - p1)); when D1*D2 = 0 the ratio
+    is monotone and the endpoints suffice.
+    """
+    vals = [log_ratio(a, p), log_ratio(b, p)]
+    d1, d2 = b[0] - a[0], b[1] - a[1]
+    if d1 * d2 != 0.0:
+        s = (d2 * p.p1 * a[0] - d1 * p.p2 * a[1]) / (d1 * d2 * (p.p2 - p.p1))
+        if 0.0 < s < 1.0:
+            vals.append(log_ratio((a[0] + s * d1, a[1] + s * d2), p))
+    return min(vals), max(vals)
+
+
+def segment_in_domain(a: Point, b: Point, p: Params, slack: float = 1e-12) -> bool:
+    """Whole segment [a, b] inside the moment domain, with in_domain's slack."""
+    if not (in_domain(a, p, slack) and in_domain(b, p, slack)):
+        return False
+    lo, hi = segment_log_ratio_range(a, b, p)
+    lq = math.log(p.q)
+    s = slack * max(1.0, lq)
+    return -s <= lo and hi <= lq + s
 
 
 def on_gamma1(x: Point, p: Params, tol: float = 1e-12) -> bool:

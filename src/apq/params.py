@@ -161,18 +161,24 @@ def derive_constants_from_gammas(p: Params, gamma_minus: float, gamma_plus: floa
     Split out from derive_constants so verification campaigns can inject
     deliberately corrupted roots and watch concavity fail.
     """
-    v_minus = gamma_minus / gamma_plus
-    v_plus = 1.0 / v_minus
-    A = p.q ** (-p.p2) * gamma_plus ** (p.p2 - p.p1)
-    nu = (1.0 - gamma_plus ** (-p.p1)) / p.p1
+    try:
+        v_minus = gamma_minus / gamma_plus
+        v_plus = 1.0 / v_minus
+        A = p.q ** (-p.p2) * gamma_plus ** (p.p2 - p.p1)
+        nu = (1.0 - gamma_plus ** (-p.p1)) / p.p1
 
-    vm1 = v_minus**p.p1
-    vm2 = v_minus**p.p2
-    a2 = vm1 / ((1.0 - vm1) * (vm1 - vm2))
-    b2 = vm2 / ((vm2 - 1.0) * (vm1 - vm2))
-    c2 = 1.0 - 1.0 / ((vm1 - 1.0) * (vm2 - 1.0))
+        vm1 = v_minus**p.p1
+        vm2 = v_minus**p.p2
+        a2 = vm1 / ((1.0 - vm1) * (vm1 - vm2))
+        b2 = vm2 / ((vm2 - 1.0) * (vm1 - vm2))
+        c2 = 1.0 - 1.0 / ((vm1 - 1.0) * (vm2 - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        raise SolveError(f"derived constants of {p} are not representable "
+                         "in double precision") from None
 
     c = DerivedConstants(gamma_minus, gamma_plus, v_minus, v_plus, A, nu, a2, b2, c2)
+    if not all(math.isfinite(value) for value in c.as_dict().values()):
+        raise SolveError(f"derived constants of {p} are not finite")
     if check:
         _check_constants(c, p)
     return c

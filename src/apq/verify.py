@@ -28,7 +28,8 @@ import numpy as np
 from .bellman import evaluate
 from .errors import SolveError
 from .extremal import region1_chord, region2_segment
-from .geometry import Point, Region, classify, gamma1_point, in_domain
+from .geometry import (Point, Region, classify, gamma1_point, in_domain,
+                       segment_in_domain)
 from .implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params
 from .weights import apq_norm, step_weight
@@ -310,13 +311,15 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
     ind = (vals >= 1.0).astype(float)
     breaks = np.arange(1, break_grid + 1) / (break_grid + 1.0)
 
-    combos = np.array(list(itertools.product(range(len(vals)), repeat=n_pieces)))
+    # Every value-index tuple in itertools.product order, without a list of tuples.
+    combos = np.indices((len(vals),) * n_pieces).reshape(n_pieces, -1).T
+    rows1, rows2 = v1[combos], v2[combos]  # gathered once: they do not depend on the cuts
     cand: list[tuple[float, tuple, tuple]] = []
     for cuts in itertools.combinations(breaks, n_pieces - 1):
         ts = np.array([0.0, *cuts, 1.0])
         lens = np.diff(ts)
-        m1 = v1[combos] @ lens
-        m2 = v2[combos] @ lens
+        m1 = rows1 @ lens
+        m2 = rows2 @ lens
         feas = (np.abs(m1 - x[0]) <= moment_band * abs(x[0])) \
             & (np.abs(m2 - x[1]) <= moment_band * abs(x[1]))
         if not feas.any():
@@ -364,7 +367,7 @@ def _leaf_values(x: Point, c: DerivedConstants, p: Params) -> list[tuple[float, 
         l1, l2, l3 = seg.lengths
         return [(l1, c.v_minus), (l2, 1.0), (l3, c.v_plus)]
     # Region I: a feasible chord with both values >= 1.
-    u, v, mu = region1_chord(x, c, p, refine=False)
+    u, v, mu = region1_chord(x, c, p)
     return [(mu, u), (1.0 - mu, v)]
 
 
@@ -379,17 +382,7 @@ def _random_split(x: Point, p: Params, rng: np.random.Generator):
         t = scale * rng.uniform(0.2, 1.0)
         xm = (x[0] - (1.0 - alpha) * t * d[0], x[1] - (1.0 - alpha) * t * d[1])
         xp = (x[0] + alpha * t * d[0], x[1] + alpha * t * d[1])
-        if xm[0] <= 0 or xm[1] <= 0 or xp[0] <= 0 or xp[1] <= 0:
-            scale *= 0.5
-            continue
-        ok = True
-        for k in range(17):
-            s = k / 16.0
-            pt = (xm[0] + s * (xp[0] - xm[0]), xm[1] + s * (xp[1] - xm[1]))
-            if not in_domain(pt, p):
-                ok = False
-                break
-        if ok:
+        if segment_in_domain(xm, xp, p):
             return alpha, xm, xp
         scale *= 0.5
     return None

@@ -3,8 +3,9 @@
 A Weight is an ordered list of pieces tiling [0, 1]; each piece is either a
 positive constant or a power profile w(t) = coef * t**(-exponent).  Moments,
 the distribution function |{w >= level}|, and level cutoffs are all exact
-closed forms; the class-norm estimator is a grid-plus-refinement lower bound
-of   sup over subintervals of  <w**p1>**(1/p1) * <w**p2>**(-1/p2).
+closed forms; the class norm, sup over subintervals of
+<w**p1>**(1/p1) * <w**p2>**(-1/p2), is exact for step weights and a
+grid-plus-refinement lower estimate for weights with power pieces.
 
 Weights are immutable; cutoffs and scalings build new values, so sharing
 across verification threads is safe.
@@ -19,6 +20,7 @@ import numpy as np
 
 from ._roots import golden_max
 from .errors import DomainError, NonIntegrableError
+from .geometry import segment_log_ratio_range
 from .params import Params
 
 
@@ -263,15 +265,43 @@ def _ratio(w: Weight, p: Params, alpha: float, beta: float) -> float:
     return math.exp(math.log(m1) / p.p1 - math.log(m2) / p.p2)
 
 
-def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
-    """Certified lower bound of the class norm sup over subintervals.
+def _step_log_norm(w: Weight, p: Params) -> float:
+    """log of the exact class norm of a weight made of constant pieces.
 
-    Candidate endpoints are all breakpoints plus `resolution` geometric
-    subdivisions per piece; the best grid cell gets one coordinate-wise
-    golden-section refinement.
+    One endpoint of a best interval sits on a breakpoint: with both inside
+    pieces, nearby averages lie on the tangent to the ratio's level curve, so
+    the interval slides at a constant ratio until one reaches a breakpoint.
+    With one endpoint fixed, sliding the other across a piece moves the
+    averages along a segment, whose extremum is closed-form.
+    """
+    ints = [(_piece_integral(pc, p.p1, pc.lo, pc.hi), _piece_integral(pc, p.p2, pc.lo, pc.hi),
+             pc.hi - pc.lo) for pc in w.pieces]
+    best = -math.inf
+    n = len(w.pieces)
+    for fixed in range(n):
+        for order in (range(fixed, n), range(fixed, -1, -1)):
+            i1 = i2 = length = 0.0
+            start = (ints[fixed][0] / ints[fixed][2], ints[fixed][1] / ints[fixed][2])
+            for k in order:
+                i1, i2, length = i1 + ints[k][0], i2 + ints[k][1], length + ints[k][2]
+                end = (i1 / length, i2 / length)
+                best = max(best, segment_log_ratio_range(start, end, p)[1])
+                start = end
+    return best
+
+
+def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
+    """Class norm: sup over subintervals of <w**p1>**(1/p1) * <w**p2>**(-1/p2).
+
+    Exact for step weights (every piece a ConstPiece).  With power pieces it
+    is a lower estimate: candidate endpoints are all breakpoints plus
+    `resolution` geometric subdivisions per piece, and the best grid cell
+    gets one coordinate-wise golden-section refinement.
     """
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
+    if all(isinstance(pc, ConstPiece) for pc in w.pieces):
+        return math.exp(_step_log_norm(w, p))
     ts = _candidate_points(w, resolution)
     n = len(ts)
 

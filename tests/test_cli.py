@@ -55,6 +55,13 @@ def test_scan_range_underflow_exit(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("p1, p2, q", [("10", "9.5", "50"), ("100", "-100", "1e6")])
+def test_unrepresentable_constants_exit(capsys, p1, p2, q):
+    code, out = run_cli(capsys, "constants", "--p1", p1, "--p2", p2, "--q", q)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_determinism(capsys):
     args = ["scan", "--p1", "1", "--p2", "-1", "--q", "2", "--grid", "12"]
     _, out1 = run_cli(capsys, *args)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from apq import (Region, apq_norm, build, cutoff_above, distribution, evaluate,
-                 moment)
-from apq.extremal import extended_iv_weight
+from apq import (Region, apq_norm, build, classify, cutoff_above, distribution,
+                 evaluate, moment)
+from apq.extremal import extended_iv_weight, region1_chord
+from apq.geometry import gamma1_point, segment_log_ratio_range
 from apq.weights import PowerPiece
 
 from conftest import CASES, gamma1, random_in_region, setup
@@ -116,3 +119,27 @@ def test_attainment_sample():
                     assert apq_norm(w, p, 16) <= q * (1.0 + 1e-6)
                     b = evaluate(x, c, p).value
                     assert abs(distribution(w, 1.0) - b) <= 1e-7
+
+
+def test_sliver_chord_stays_inside():
+    # Points between the upper tangent line from (1, 1) and the extreme curve,
+    # beyond the touch point: the chord through (1, 1) leaves the domain, and
+    # the chord used there must not poke past the extreme curve.
+    rng = np.random.default_rng(9)
+    for p1, p2 in [(1.0, -1.0), (2.0, 1.0), (2.0, -1.0), (-0.5, -2.0)]:
+        for q in (1.3, 2.0, 5.0):
+            p, c = setup(p1, p2, q)
+            lq = math.log(q)
+            slope = (p2 / p1) * c.A
+            for _ in range(10):
+                a = c.gamma_plus * (c.v_plus / c.gamma_plus) ** rng.uniform(0.05, 0.95)
+                x1 = a**p1
+                t = rng.uniform(0.05, 0.95)
+                x = (x1, t * q**-p2 * a**p2 + (1.0 - t) * (1.0 + slope * (x1 - 1.0)))
+                assert classify(x, c, p) == Region.I
+                u, v, mu = region1_chord(x, c, p)
+                assert u > v > 1.0
+                lo, hi = segment_log_ratio_range(gamma1_point(u, p), gamma1_point(v, p), p)
+                assert hi <= lq + 1e-12 * max(1.0, lq)
+                w, _ = build(x, c, p)
+                assert distribution(w, 1.0) == 1.0

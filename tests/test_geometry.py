@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from apq import DomainError, Region, classify, in_domain, tangent_line
-from apq.geometry import gamma1_point, gammaq_point, log_ratio, on_gamma1, on_gammaq
+from apq.geometry import (gamma1_point, gammaq_point, log_ratio, on_gamma1, on_gammaq,
+                          segment_in_domain, segment_log_ratio_range)
 
 from conftest import CASES, random_in_domain, setup
 
@@ -102,3 +103,48 @@ def test_curve_membership_queries(a2_setup):
     assert on_gammaq((1.3, 2.0 / 1.3), p)
     assert not on_gamma1((1.3, 1.2), p)
     assert abs(log_ratio((1.3, 2.0 / 1.3), p) - math.log(2.0)) <= 1e-12
+
+
+SIGN_CASES = [(1.0, -1.0), (2.0, 1.0), (2.0, -1.0), (-0.5, -2.0)]
+
+
+def test_segment_range_brackets_dense_samples():
+    rng = np.random.default_rng(8)
+    s = np.linspace(0.0, 1.0, 4097)
+    for p1, p2 in SIGN_CASES:
+        p, c = setup(p1, p2, 3.0)
+        for _ in range(50):
+            a, b = random_in_domain(rng, c, p, 2)
+            if rng.uniform() < 0.5:  # endpoints off the domain too
+                b = (b[0] * rng.uniform(0.3, 3.0), b[1])
+            lo, hi = segment_log_ratio_range(a, b, p)
+            x1 = a[0] + s * (b[0] - a[0])
+            x2 = a[1] + s * (b[1] - a[1])
+            x1[-1], x2[-1] = b  # a + (b - a) need not round to b
+            r = np.log(x1) / p1 - np.log(x2) / p2
+            tol = 1e-12 * max(1.0, float(np.abs(r).max()))
+            assert lo <= r.min() + tol
+            assert hi >= r.max() - tol
+
+
+def test_segment_range_on_tangent_chord():
+    # The tangent from unit-curve parameter v meets the unit curve again at
+    # v/v_minus and touches the extreme curve in between.
+    for p1, p2 in SIGN_CASES:
+        for q in (1.3, 2.0, 20.0):
+            p, c = setup(p1, p2, q)
+            lq = math.log(q)
+            for v in (0.3, 1.0, 2.5):
+                a, b = gamma1_point(v, p), gamma1_point(v / c.v_minus, p)
+                lo, hi = segment_log_ratio_range(a, b, p)
+                assert abs(hi - lq) <= 1e-13 * max(1.0, lq)
+                assert abs(lo) <= 1e-13 * max(1.0, lq)
+                assert segment_in_domain(a, b, p)
+
+
+def test_segment_in_domain_edge_inputs(a2_setup):
+    p, c = a2_setup
+    assert not segment_in_domain((1.0, 1.0), (-0.5, 1.0), p)
+    assert not segment_in_domain((1.0, 1.0), (3.0, 1.0), p)  # ends outside
+    with pytest.raises(DomainError):
+        segment_in_domain((1.0, 1.0), (math.inf, 1.0), p)

@@ -151,3 +151,12 @@ def test_nu_check_q_near_one():
     for p1, p2 in ((1.0, -1.0), (2.0, 1.0), (-0.5, -2.0)):
         c = derive_constants(Params(p1, p2, 1.0 + 1e-15))
         assert 0.0 < c.v_minus < 1.0
+
+
+def test_unrepresentable_constants_are_solve_error():
+    # v_minus**10 and v_minus**9.5 both underflow to 0, so a2 divides by zero.
+    with pytest.raises(SolveError):
+        derive_constants(Params(10.0, 9.5, 50.0))
+    # A = Q**-p2 * gamma_plus**(p2 - p1) overflows.
+    with pytest.raises(SolveError):
+        derive_constants(Params(100.0, -100.0, 1e6))

@@ -67,6 +67,14 @@ def test_oracle_domination(a2_setup):
         assert got <= bound + lipschitz_slack(x, c, p) + 1e-9
 
 
+def test_oracle_found_point_below_bound():
+    # Here the oracle's class filter used to pass a weight of norm 3.18 > Q.
+    p, c = setup(1.0, -1.0, 2.4716171030618224)
+    x = (0.9722935503136965, 1.6815535661615362)
+    got = oracle_max(x, c, p, n_pieces=3, value_grid=40, break_grid=20)
+    assert got <= evaluate(x, c, p).value + lipschitz_slack(x, c, p) + 1e-9
+
+
 def test_oracle_budget_guard(a2_setup):
     p, c = a2_setup
     from apq import SolveError

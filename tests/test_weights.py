@@ -140,6 +140,36 @@ def test_apq_norm_resolution_stability(a2_setup):
         assert abs(b - a) <= 1e-6
 
 
+
+# A step weight that oracle_max accepted at this class while its filter was a
+# coarse grid estimate of the norm (2.4712 at resolution 8).
+FOUND_Q = 2.4716171030618224
+FOUND_WEIGHT = ([1.0 / 21.0, 20.0 / 21.0], [0.1367, 1.0602, 0.0997])
+
+
+def test_step_norm_exact():
+    p, _ = setup(1.0, -1.0, FOUND_Q)
+    want = 3.181985141426918
+    assert abs(apq_norm(step_weight(*FOUND_WEIGHT), p, 8) - want) <= 1e-12 * want
+    # Against a brute force over a dense grid holding every breakpoint; the
+    # grid can only fall short of the supremum.
+    rng = np.random.default_rng(12)
+    grid = np.linspace(0.0, 1.0, 601)
+    for p1, p2 in [(1.0, -1.0), (2.0, 1.0), (2.0, -1.0), (-0.5, -2.0)]:
+        p, _ = setup(p1, p2, 3.0)
+        for _ in range(10):
+            w = _random_weight(rng, allow_power=False)
+            ts = np.union1d(grid, w.breakpoints())
+            cum = [sum(pc.value**pk * np.clip(np.minimum(ts, pc.hi) - pc.lo, 0.0, None)
+                       for pc in w.pieces) for pk in (p1, p2)]
+            length = ts[None, :] - ts[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logr = (np.log((cum[0][None, :] - cum[0][:, None]) / length) / p1
+                        - np.log((cum[1][None, :] - cum[1][:, None]) / length) / p2)
+            brute = math.exp(np.max(logr[length > 0.0]))
+            got = apq_norm(w, p, 8)
+            assert brute * (1.0 - 1e-12) <= got <= brute * (1.0 + 1e-3)
+
 def test_cutoff_examples():
     w = step_weight([0.5], [1.0, 0.5])
     lo = cutoff_below(w, 0.7)
@@ -205,14 +235,14 @@ def test_two_step_membership():
     rng = np.random.default_rng(5)
     for p1, p2 in [(1.0, -1.0), (2.0, 1.0)]:
         p, c = setup(p1, p2)
-        from apq.extremal import _chord_inside
+        from apq.geometry import segment_in_domain
         count = 0
         while count < 100:
             u = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
             v = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
             up = (u**p1, u**p2)
             vp = (v**p1, v**p2)
-            if not _chord_inside(up, vp, p):
+            if not segment_in_domain(up, vp, p, 1e-10):
                 continue
             w = step_weight([float(rng.uniform(0.2, 0.8))], [u, v])
             assert apq_norm(w, p, 8) <= p.q * (1.0 + 1e-9)

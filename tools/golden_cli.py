@@ -1,0 +1,185 @@
+"""Golden CLI outputs: run a fixed set of `apq` invocations, or compare two runs.
+
+    python tools/golden_cli.py run SRC OUTDIR
+    python tools/golden_cli.py compare OLDDIR NEWDIR
+
+`run` imports the `apq` package found in SRC (the directory that holds it,
+e.g. `src` of a checkout), calls its CLI in-process once per invocation and
+writes one file per invocation: the exit code on the first line, then
+stdout and stderr.  An exception that escapes the CLI is recorded as exit 1
+with its type and message, as the `apq` executable would end.
+
+`compare` reports, file by file, whether two runs are byte-identical and,
+where they are not, the largest relative difference between corresponding
+numbers (when the text around the numbers matches).  It exits 0 when every
+file is byte-identical and 1 otherwise.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import sys
+import tempfile
+
+CLASSES = [("1", "-1"), ("2", "1"), ("-0.5", "-2"), ("2", "-1")]
+
+# One point per region at Q = 2, plus a region-I point in the sliver between
+# the upper tangent line from (1, 1) and the extreme curve.
+POINTS = {
+    ("1", "-1"): {"I": (1.3388373442458072, 0.878752932544385),
+                  "II": (1.6689215390599854, 1.095183314106899),
+                  "III": (0.3934118902404218, 3.440348193283803),
+                  "IV": (0.033387798162840876, 37.51713823384154),
+                  "I-sliver": (4.22858396089443, 0.4595170690231477)},
+    ("2", "1"): {"I": (1.7696033593432603, 1.130689507485698),
+                 "II": (3.14836472769941, 0.9707776766061263),
+                 "III": (0.0720086110523808, 0.19826330258996913),
+                 "IV": (0.00011397163155218373, 0.008522772577223513),
+                 "I-sliver": (39.94414532417281, 3.384416055675474)},
+    ("-0.5", "-2"): {"I": (0.8201509951457824, 0.6262741334893025),
+                     "II": (0.7284147204587386, 0.9405033167606642),
+                     "III": (1.5855487876291237, 11.577590945821006),
+                     "IV": (5.981189568934499, 2008.0995311022089),
+                     "I-sliver": (0.41149906858707547, 0.10999310235767654)},
+    ("2", "-1"): {"I": (1.6307591839381106, 0.9212970668294674),
+                  "II": (2.4451931858173, 1.168869831535593),
+                  "III": (0.17168324311331123, 3.2665245500345255),
+                  "IV": (0.0018434014023390136, 29.174775720781014),
+                  "I-sliver": (11.66344158049396, 0.5694696922722268)},
+}
+
+# A step weight of norm 3.18 that the oracle once accepted at Q = 2.4716...
+FOUND_Q = "2.4716171030618224"
+FOUND_X = ("0.9722935503136965", "1.6815535661615362")
+FOUND_WEIGHT = {"pieces": [
+    {"kind": "const", "value": 0.1367, "lo": 0.0, "hi": 1.0 / 21.0},
+    {"kind": "const", "value": 1.0602, "lo": 1.0 / 21.0, "hi": 20.0 / 21.0},
+    {"kind": "const", "value": 0.0997, "lo": 20.0 / 21.0, "hi": 1.0},
+]}
+
+
+def _cls(p1: str, p2: str, q: str = "2") -> list[str]:
+    return ["--p1", p1, "--p2", p2, "--q", q]
+
+
+def _at(x) -> list[str]:
+    return ["--x1", repr(x[0]), "--x2", repr(x[1])]
+
+
+def invocations(weight_path: str) -> dict[str, list[str]]:
+    """Name -> argv of every golden invocation."""
+    inv: dict[str, list[str]] = {}
+    for p1, p2, q in [("1", "-1", "2"), ("2", "1", "2"), ("-0.5", "-2", "2"),
+                      ("2", "-1", "2"), ("1", "0", "2"), ("-1", "-1.001", "2"),
+                      ("5", "4", "1000"), ("10", "9.5", "50"), ("100", "-100", "1e6")]:
+        inv[f"constants_{p1}_{p2}_{q}"] = ["constants", *_cls(p1, p2, q)]
+    for p1, p2 in CLASSES:
+        for region, x in POINTS[(p1, p2)].items():
+            tag = f"{p1}_{p2}_{region}"
+            if region != "I-sliver":
+                inv[f"eval_{tag}"] = ["eval", *_cls(p1, p2), *_at(x)]
+                inv[f"eval_lambda_{tag}"] = ["eval", *_cls(p1, p2), *_at(x),
+                                             "--lambda", "1.3"]
+            inv[f"extremal_{tag}"] = ["extremal", *_cls(p1, p2), *_at(x)]
+    for k, (x1, x2) in enumerate([(0.75, math.log(0.5) / 2.0), (1.0, -0.3),
+                                  (2.0, math.log(2.0) - 0.1), (0.1, math.log(0.1) - 0.5),
+                                  (5.0, math.log(5.0) - 0.6)]):
+        inv[f"eval_limiting_{k}"] = ["eval", *_cls("1", "0"), *_at((x1, x2))]
+    for p1, p2 in CLASSES + [("1", "0")]:
+        for q in ("1.5", "4", "20"):
+            inv[f"scan_{p1}_{p2}_{q}"] = ["scan", *_cls(p1, p2, q), "--grid", "64"]
+    inv["scan_underflow"] = ["scan", *_cls("1", "0.999"), "--grid", "4"]
+    inv["verify_concavity"] = ["verify-concavity", *_cls("1", "-1"),
+                               "--n-interior", "50", "--n-boundary", "20"]
+    inv["verify_oracle"] = ["verify-oracle", *_cls("1", "-1"), "--x1", "0.75", "--x2", "1.5"]
+    inv["verify_oracle_found"] = ["verify-oracle", *_cls("1", "-1", FOUND_Q),
+                                  "--x1", FOUND_X[0], "--x2", FOUND_X[1]]
+    inv["verify_majorization"] = ["verify-majorization", *_cls("1", "-1"),
+                                  "--n-weights", "60"]
+    inv["rh"] = ["rh", *_cls("1", "-1"), "--alpha", "0.2"]
+    inv["norm_found"] = ["norm", *_cls("1", "-1", FOUND_Q), "--weight", weight_path]
+    return inv
+
+
+def run(src: str, outdir: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    from apq.cli import main
+
+    os.makedirs(outdir, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        weight_path = os.path.join(tmp, "found_weight.json")
+        with open(weight_path, "w") as fh:
+            json.dump(FOUND_WEIGHT, fh)
+        for name, argv in invocations(weight_path).items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except Exception as exc:  # what escapes the CLI ends the executable with 1
+                    code = 1
+                    err.write(f"{type(exc).__name__}: {exc}\n")
+            with open(os.path.join(outdir, name + ".txt"), "w") as fh:
+                fh.write(f"exit {code}\n{out.getvalue()}{err.getvalue()}")
+            print(f"{name}: exit {code}")
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _max_rel_diff(a: str, b: str) -> float | None:
+    """Largest relative difference between corresponding numbers, or None
+    when the text around the numbers differs."""
+    if _NUMBER.split(a) != _NUMBER.split(b):
+        return None
+    worst = 0.0
+    for sa, sb in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+        fa, fb = float(sa), float(sb)
+        scale = max(abs(fa), abs(fb))
+        if scale > 0.0:
+            worst = max(worst, abs(fa - fb) / scale)
+    return worst
+
+
+def compare(old: str, new: str) -> int:
+    names = sorted(set(os.listdir(old)) | set(os.listdir(new)))
+    identical = 0
+    for name in names:
+        pa, pb = os.path.join(old, name), os.path.join(new, name)
+        if not (os.path.exists(pa) and os.path.exists(pb)):
+            print(f"{name}: only in {old if os.path.exists(pa) else new}")
+            continue
+        with open(pa) as fa, open(pb) as fb:
+            a, b = fa.read(), fb.read()
+        if a == b:
+            identical += 1
+            continue
+        diff = _max_rel_diff(a, b)
+        if diff is None:
+            lines = zip(a.splitlines() + [""], b.splitlines() + [""])
+            first = next((i for i, (la, lb) in enumerate(lines) if la != lb), None)
+            print(f"{name}: text differs" + ("" if first is None else f" from line {first + 1}"))
+        else:
+            print(f"{name}: max relative difference {diff:.3g}")
+    print(f"{identical} of {len(names)} files byte-identical")
+    return 0 if identical == len(names) else 1
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "run":
+        run(argv[1], argv[2])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    sys.stderr.write(__doc__)
+    return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
