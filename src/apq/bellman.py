@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from ._roots import bisect, expand
 from .errors import DomainError
-from .geometry import Point, Region, classify, in_domain, on_gamma1
+from .geometry import Point, Region, classify, in_domain, on_gamma1, tangent_slope
 from .implicit_v import solve_v_III, solve_v_IV
 from .params import AinfConstants, DerivedConstants, Params, ainf_constants
 
@@ -129,8 +129,8 @@ def gradient(x: Point, c: DerivedConstants, p: Params) -> Gradient:
         raise DomainError(f"point {x} outside the moment domain")
     region = classify(x, c, p)
     x1, x2 = x
-    for sign, gamma in (("+", c.gamma_plus), ("-", c.gamma_minus)):
-        slope = (p.p2 / p.p1) * p.q ** (-p.p2) * gamma ** (p.p2 - p.p1)
+    for sign in ("+", "-"):
+        slope = tangent_slope(1.0, sign, c, p)
         if abs(x2 - (slope * (x1 - 1.0) + 1.0)) <= _BOUNDARY_REFUSAL * max(1.0, abs(x2)):
             raise DomainError(f"x={x} is within {_BOUNDARY_REFUSAL} of the {sign} tangent line")
     if region == Region.I:

@@ -6,12 +6,11 @@ Per region (threshold 1):
         chord through x that stays inside the domain: the chord through
         (1, 1), or else (as in the sliver beyond the upper tangent line) a
         chord through x tangent to the extreme curve, found by a root solve.
-* II  : three-step weight on values (v_minus, 1, v_plus) from a segment
-        through x with endpoints on the two tangent lines from (1, 1).  The
-        default segment direction is the chord between the v_minus and v_plus
-        unit-curve points; if the segment leaves the domain (it can near the
-        extreme curve) the direction rotates toward either tangent direction,
-        and the local extreme-curve tangent direction is also tried.
+* II  : three-step weight on values (v_minus, 1, v_plus) whose lengths are
+        x's barycentric coordinates in the triangle U(v_minus), U(1),
+        U(v_plus) on the unit curve U; its edges through U(1) are the two
+        tangent lines from (1, 1).  The anchor with the larger power sits at
+        t = 0, where its length is exact.
 * III : two-step weight on values (1, v) split at mu = (x1 - v**p1)/(1 - v**p1).
 * IV  : on the extreme curve, the three-piece profile
         {1, then v_minus, then v_minus*(a/t)**nu} with a = (v/v_minus)**(1/nu)
@@ -21,7 +20,7 @@ Per region (threshold 1):
         max) of the dilated profile with its power tail continued to 1.
 
 Every construction verifies its own moments before returning, and every
-chord it uses passes the exact segment test geometry.segment_in_domain.
+region-I chord passes the exact segment test geometry.segment_in_domain.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from .implicit_v import solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params
 from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
 
-_DIRECTION_STEPS = 32
-
 
 @dataclass(frozen=True)
 class ExtremalPlan:
@@ -51,12 +48,12 @@ class ExtremalPlan:
 
 @dataclass(frozen=True)
 class Region2Segment:
-    """Tangent-to-tangent segment through a region-II point with its exact
-    three-step decomposition; lengths are (v_minus piece, unit piece, v_plus
-    piece) and are computed from cancellation-free complements."""
+    """Exact three-step decomposition of a region-II point: lengths are the
+    (v_minus, unit, v_plus) piece lengths.  Along the segment through x
+    parallel to the chord U(v_minus)U(v_plus), x = lam*x_plus +
+    (1 - lam)*x_minus with both endpoints on the tangent lines from (1, 1),
+    each with unit-curve mixing weight mu_minus = mu_plus = lengths[1]."""
 
-    x_minus: Point
-    x_plus: Point
     lam: float
     mu_minus: float
     mu_plus: float
@@ -134,91 +131,32 @@ def region1_chord(x: Point, c: DerivedConstants, p: Params) -> tuple[float, floa
     raise SolveError(f"no feasible unit-curve chord found through {x} in region I")
 
 
-def _line_intersect(x: Point, d: tuple[float, float], slope: float, intercept: float):
-    denom = slope * d[0] - d[1]
-    if abs(denom) < 1e-14 * max(1.0, abs(slope * d[0]), abs(d[1])):
-        return None
-    t = (x[1] - slope * x[0] - intercept) / denom
-    return (x[0] + t * d[0], x[1] + t * d[1])
-
-
 def region2_segment(x: Point, c: DerivedConstants, p: Params) -> Region2Segment:
-    """Segment through x with endpoints on the two tangent lines from (1,1).
+    """Three-step decomposition of a region-II point on (v_minus, 1, v_plus).
 
-    x = lam*x_plus + (1-lam)*x_minus with the endpoints' unit-curve mixing
-    weights mu_minus/mu_plus; the returned lengths are the exact three-step
-    decomposition.  Raises SolveError when no rotation produces a segment
-    inside the domain.
+    The lengths are x's barycentric coordinates in the triangle U(v_minus),
+    U(1), U(v_plus), whose edges through U(1) = (1, 1) are the two tangent
+    lines: one 2x2 solve in offsets from (1, 1), with the anchor offsets
+    v**p - 1 = expm1(p*log v) formed without cancellation.  The plan reads
+    them along the segment through x parallel to the chord U(v_minus)U(v_plus),
+    on which the unit-piece length is constant.  Raises SolveError when the
+    lengths miss the moments of x.
     """
-    slope_p = (p.p2 / p.p1) * c.A
-    slope_m = (p.p2 / p.p1) * p.q ** (-p.p2) * c.gamma_minus ** (p.p2 - p.p1)
-    int_p = 1.0 - slope_p
-    int_m = 1.0 - slope_m
-    vm_pt = gamma1_point(c.v_minus, p)
-    vp_pt = gamma1_point(c.v_plus, p)
-    vm1, vp1 = vm_pt[0], vp_pt[0]
-
-    def norm(d):
-        n = math.hypot(d[0], d[1])
-        return (d[0] / n, d[1] / n)
-
-    d0 = norm((vp_pt[0] - vm_pt[0], vp_pt[1] - vm_pt[1]))
-    d_tangent = norm((1.0, (p.p2 / p.p1) * x[1] / x[0]))  # extreme-curve tangent at x
-    d_lm = norm((1.0, slope_m))
-    d_lp = norm((1.0, slope_p))
-
-    candidates = [d0, d_tangent]
-    for target in (d_lm, d_lp):
-        for k in range(1, _DIRECTION_STEPS):
-            th = k / _DIRECTION_STEPS
-            mix = ((1.0 - th) * d0[0] + th * target[0], (1.0 - th) * d0[1] + th * target[1])
-            if math.hypot(*mix) < 1e-12:
-                continue
-            candidates.append(norm(mix))
-
-    for d in candidates:
-        xm = _line_intersect(x, d, slope_m, int_m)
-        xp = _line_intersect(x, d, slope_p, int_p)
-        if xm is None or xp is None:
-            continue
-        span1, span2 = xp[0] - xm[0], xp[1] - xm[1]
-        if abs(span1) >= abs(span2):
-            lam = (x[0] - xm[0]) / span1 if span1 != 0.0 else 0.0
-        else:
-            lam = (x[1] - xm[1]) / span2 if span2 != 0.0 else 0.0
-        # Complements computed directly: (1 - mu) = (x1 - 1)/(v**p1 - 1) is
-        # cancellation-free even when the v_plus anchor is astronomically far,
-        # where mu itself rounds to 1 and loses the far piece's whole length.
-        omm = (xm[0] - 1.0) / (vm1 - 1.0)
-        omp = (xp[0] - 1.0) / (vp1 - 1.0)
-        tol = 1e-9
-        if not (-tol <= lam <= 1.0 + tol and -tol <= omm <= 1.0 + tol
-                and -tol <= omp <= 1.0 + tol):
-            continue
-        clamp = lambda t: min(max(t, 0.0), 1.0)
-        lam = clamp(lam)
-        lens = ((1.0 - lam) * clamp(omm),        # value v_minus
-                0.0,                             # value 1, filled below
-                lam * clamp(omp))                # value v_plus
-        lens = (lens[0], 1.0 - lens[0] - lens[2], lens[2])
-        # Near-parallel intersections can pass the range checks while the
-        # implied three-step weight misses the moments; exactness is part of
-        # feasibility so the direction search skips ill-conditioned segments.
-        ok = lens[1] >= -1e-12
-        for pk, xk in ((p.p1, x[0]), (p.p2, x[1])):
-            if not ok:
-                break
-            got = lens[0] * c.v_minus**pk + lens[1] + lens[2] * c.v_plus**pk
-            if abs(got - xk) > 1e-9 * abs(xk):
-                ok = False
-        if not ok:
-            continue
-        if not (segment_in_domain(xm, x, p, 1e-10) and segment_in_domain(x, xp, p, 1e-10)):
-            continue
-        return Region2Segment(x_minus=xm, x_plus=xp, lam=lam,
-                              mu_minus=1.0 - clamp(omm), mu_plus=1.0 - clamp(omp),
-                              lengths=lens)
-    raise SolveError(f"no admissible tangent-to-tangent segment through {x}")
+    lv_m, lv_p = math.log(c.v_minus), math.log(c.v_plus)
+    a1, a2 = math.expm1(p.p1 * lv_m), math.expm1(p.p2 * lv_m)
+    b1, b2 = math.expm1(p.p1 * lv_p), math.expm1(p.p2 * lv_p)
+    y1, y2 = x[0] - 1.0, x[1] - 1.0
+    det = a1 * b2 - a2 * b1  # twice the triangle's area: never 0 for three unit-curve points
+    l1 = (y1 * b2 - y2 * b1) / det
+    l3 = (a1 * y2 - a2 * y1) / det
+    l1, l3 = min(max(l1, 0.0), 1.0), min(max(l3, 0.0), 1.0)
+    l2 = max(1.0 - l1 - l3, 0.0)
+    for pk, xk in ((p.p1, x[0]), (p.p2, x[1])):
+        got = l1 * c.v_minus**pk + l2 + l3 * c.v_plus**pk
+        if abs(got - xk) > 1e-9 * abs(xk):
+            raise SolveError(f"region-II lengths miss moment p={pk} at {x}: {got} vs {xk}")
+    lam = l3 / (l1 + l3) if l1 + l3 > 0.0 else 0.0
+    return Region2Segment(lam=lam, mu_minus=l2, mu_plus=l2, lengths=(l1, l2, l3))
 
 
 def _tangent_mix(x: Point, c: DerivedConstants, p: Params) -> tuple[float, float]:
@@ -280,14 +218,20 @@ def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPla
     if region == Region.II:
         seg = region2_segment(x, c, p)
         l1, l2, l3 = seg.lengths
-        b1, b2 = l1, l1 + l2
+        # Only the piece at t = 0 keeps its exact length (the others are
+        # differences of floats near 1), so the anchor with the larger power
+        # goes there; the mirrored weight has the same norm and distribution.
+        first, head, last = c.v_minus, l1, c.v_plus
+        if p.p1 * math.log(c.v_plus) > p.p2 * math.log(c.v_minus):
+            first, head, last = c.v_plus, l3, c.v_minus
+        b1, b2 = head, min(head + l2, 1.0)
         pieces = []
         if b1 > 0.0:
-            pieces.append(ConstPiece(0.0, b1, c.v_minus))
+            pieces.append(ConstPiece(0.0, b1, first))
         if b2 > b1:
             pieces.append(ConstPiece(b1, b2, 1.0))
         if 1.0 > b2:
-            pieces.append(ConstPiece(b2, 1.0, c.v_plus))
+            pieces.append(ConstPiece(b2, 1.0, last))
         plan = ExtremalPlan(Region.II, {"lam": seg.lam, "mu_minus": seg.mu_minus,
                                         "mu_plus": seg.mu_plus})
         return _verified(Weight(tuple(pieces)), plan, x, p)

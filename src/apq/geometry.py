@@ -150,7 +150,7 @@ def _split_quantities(x: Point, c: DerivedConstants, p: Params):
     s1 = math.copysign(1.0, p.p1)
     s2 = math.copysign(1.0, p.p2)
     slope_plus = (p.p2 / p.p1) * c.A  # A = Q**(-p2) * gamma_plus**(p2-p1)
-    slope_minus = (p.p2 / p.p1) * p.q ** (-p.p2) * c.gamma_minus ** (p.p2 - p.p1)
+    slope_minus = tangent_slope(1.0, "-", c, p)
     d_plus = s2 * (x2 - (slope_plus * (x1 - 1.0) + 1.0))
     d_minus = s2 * (x2 - (slope_minus * (x1 - 1.0) + 1.0))
     e_plus = s1 * (x1 - c.gamma_plus**p.p1)

@@ -17,8 +17,9 @@ where A = Q**(-p2)*gamma_plus**(p2-p1).  Among the roots, the admissible one
 has x strictly between the unit-curve base point and the touch point, i.e.
 v in [r/gamma_plus, r] with r = x1**(1/p1).  At those endpoints the residual
 equals the (signed) distance of x2 from the extreme curve and the unit curve
-respectively, so the bracket always carries a sign change; the second root of
-the equation lies below r/gamma_plus and never enters the bracket.
+respectively, so the bracket carries a sign change unless x lies within
+roundoff of one curve, where that end is the root; the second root of the
+equation lies below r/gamma_plus and never enters the bracket.
 
 Both solvers bisect with the helpers in ``_roots`` and finish with its
 guarded Newton polish on the raw residual.
@@ -157,20 +158,13 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
         return v_hi  # x on the unit curve
 
     if (f_lo > 0.0) == (f_hi > 0.0):
-        # Scan a geometric grid for the sign change; the bracket endpoints are
-        # exact curve distances, so this only triggers on roundoff edge cases.
-        grid = [v_lo * (v_hi / v_lo) ** (k / 63.0) for k in range(64)]
-        vals = [f(v) for v in grid]
-        changes = [i for i in range(63) if (vals[i] > 0.0) != (vals[i + 1] > 0.0)]
-        if len(changes) > 1:
-            raise SolveError(f"multiple tangent-parameter roots in bracket at x={x}")
-        if not changes:
-            raise SolveError(f"no tangent-parameter root in bracket at x={x}")
-        i = changes[0]
-        v_lo, v_hi, f_lo, f_hi = grid[i], grid[i + 1], vals[i], vals[i + 1]
-
-    v = bisect(f, v_lo, v_hi, f_lo, f_hi)
-    v = newton_polish(f, slope, v, 0.0, math.inf)
+        # The bracket ends are x's signed distances to the two curves, so
+        # equal signs mean x lies within roundoff of one of them: take the
+        # nearer curve, subject to the residual check below.
+        v = v_lo if abs(f_lo) / scale_lo <= abs(f_hi) / scale_hi else v_hi
+    else:
+        v = bisect(f, v_lo, v_hi, f_lo, f_hi)
+        v = newton_polish(f, slope, v, 0.0, math.inf)
 
     res = abs(f(v)) / _tangent_scale(v, x, c, p)
     if res > 1e-11:

@@ -28,8 +28,8 @@ import numpy as np
 from .bellman import evaluate
 from .errors import SolveError
 from .extremal import region1_chord, region2_segment
-from .geometry import (Point, Region, classify, gamma1_point, in_domain,
-                       segment_in_domain)
+from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
+                       segment_in_domain, tangent_slope)
 from .implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params
 from .weights import apq_norm, step_weight
@@ -155,21 +155,17 @@ def _boundary_points(c: DerivedConstants, p: Params, which: str, n: int):
     for k in range(n):
         s = (k + 0.5) / n * 0.9 + 0.05
         if which == "plus":
-            a = (1.0, 1.0)
-            bpt = ((c.gamma_plus) ** p.p1, p.q ** (-p.p2) * c.gamma_plus**p.p2)
+            a, bpt = (1.0, 1.0), gammaq_point(c.gamma_plus, p)
         elif which == "minus":
-            a = (1.0, 1.0)
-            bpt = ((c.gamma_minus) ** p.p1, p.q ** (-p.p2) * c.gamma_minus**p.p2)
+            a, bpt = (1.0, 1.0), gammaq_point(c.gamma_minus, p)
         else:
-            a = ((c.gamma_minus) ** p.p1, p.q ** (-p.p2) * c.gamma_minus**p.p2)
-            bpt = gamma1_point(c.v_minus, p)
+            a, bpt = gammaq_point(c.gamma_minus, p), gamma1_point(c.v_minus, p)
         pts.append((a[0] + s * (bpt[0] - a[0]), a[1] + s * (bpt[1] - a[1])))
     return pts
 
 
 def _boundary_normal(c: DerivedConstants, p: Params, which: str) -> tuple[float, float]:
-    gamma = c.gamma_plus if which == "plus" else c.gamma_minus
-    slope = (p.p2 / p.p1) * p.q ** (-p.p2) * gamma ** (p.p2 - p.p1)
+    slope = tangent_slope(1.0, "+" if which == "plus" else "-", c, p)
     nrm = math.hypot(slope, 1.0)
     return (-slope / nrm, 1.0 / nrm)
 
@@ -343,8 +339,9 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
 def _leaf_values(x: Point, c: DerivedConstants, p: Params) -> list[tuple[float, float]]:
     """Exact decomposition of x into unit-curve values: [(fraction, value)].
 
-    Region II recurses through its tangent-line endpoints; region IV rides its
-    tangent line out to the second unit-curve crossing at v/v_minus.
+    Region II takes its barycentric lengths on (v_minus, 1, v_plus); region
+    IV rides its tangent line out to the second unit-curve crossing at
+    v/v_minus.
     """
     r = math.exp(math.log(x[0]) / p.p1)
     if abs(x[1] - r**p.p2) <= 1e-11 * max(1.0, abs(x[1])):

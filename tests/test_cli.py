@@ -62,6 +62,17 @@ def test_unrepresentable_constants_exit(capsys, p1, p2, q):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("q", ["20", "50"])
+def test_scan_near_extreme_curve(capsys, q):
+    # The grid meets region-IV points within roundoff of the extreme curve.
+    code, out = run_cli(capsys, "scan", "--p1", "-1", "--p2", "-2", "--q", q,
+                        "--grid", "64")
+    assert code == 0
+    lines = out.strip().split("\n")[1:]
+    assert len(lines) == 64 * 64
+    assert all(0.0 <= float(line.split(",")[3]) <= 1.0 for line in lines)
+
+
 def test_determinism(capsys):
     args = ["scan", "--p1", "1", "--p2", "-1", "--q", "2", "--grid", "12"]
     _, out1 = run_cli(capsys, *args)

@@ -5,7 +5,7 @@ import pytest
 
 from apq import (Region, apq_norm, build, classify, cutoff_above, distribution,
                  evaluate, moment)
-from apq.extremal import extended_iv_weight, region1_chord
+from apq.extremal import extended_iv_weight, region1_chord, region2_segment
 from apq.geometry import gamma1_point, segment_log_ratio_range
 from apq.weights import PowerPiece
 
@@ -119,6 +119,46 @@ def test_attainment_sample():
                     assert apq_norm(w, p, 16) <= q * (1.0 + 1e-6)
                     b = evaluate(x, c, p).value
                     assert abs(distribution(w, 1.0) - b) <= 1e-7
+
+
+def test_region_ii_extreme_points():
+    # A 7e-4 length on the far anchor v_plus, whose p1 moment amplifies the
+    # rounding of that length by v_plus**2 = 2.6e6, and a v_minus piece of
+    # length 7e-10.
+    for args, x in [((2.0, 1.0, 20.0), (0.0032021888142122106, 0.002997470745931452)),
+                    ((0.5, -3.0, 200.0), (14.51102042850678, 0.4719008602477527))]:
+        p, c = setup(*args)
+        w, plan = build(x, c, p)
+        assert plan.region == Region.II
+        assert abs(moment(w, p.p1) - x[0]) <= 1e-12 * x[0]
+        assert abs(moment(w, p.p2) - x[1]) <= 1e-12 * x[1]
+        assert abs(distribution(w, 1.0) - evaluate(x, c, p).value) <= 1e-12
+        assert apq_norm(w, p) <= p.q * (1.0 + 1e-6)
+
+
+def test_region_ii_builds_large_q():
+    rng = np.random.default_rng(5)
+    p, c = setup(2.0, 1.0, 100.0)
+    for x in random_in_region(rng, c, p, Region.II, 20):
+        w, _ = build(x, c, p)
+        assert abs(distribution(w, 1.0) - evaluate(x, c, p).value) <= 1e-7
+        assert apq_norm(w, p) <= p.q * (1.0 + 1e-6)
+
+
+def test_region_ii_lengths_solve_moment_system():
+    # The three lengths are the unique solution of the 3x3 moment system.
+    rng = np.random.default_rng(4)
+    for p1, p2 in [(1.0, -1.0), (2.0, 1.0), (2.0, -1.0), (-0.5, -2.0)]:
+        for q in (1.3, 2.0, 5.0):
+            p, c = setup(p1, p2, q)
+            anchors = (c.v_minus, 1.0, c.v_plus)
+            m = np.array([[1.0, 1.0, 1.0], [a**p1 for a in anchors], [a**p2 for a in anchors]])
+            for x in random_in_region(rng, c, p, Region.II, 10):
+                want = np.linalg.solve(m, [1.0, x[0], x[1]])
+                seg = region2_segment(x, c, p)
+                assert np.allclose(seg.lengths, want, rtol=0.0, atol=1e-12)
+                assert seg.lam + (1.0 - seg.lam) * seg.mu_minus == pytest.approx(
+                    evaluate(x, c, p).value, abs=1e-12)
 
 
 def test_sliver_chord_stays_inside():

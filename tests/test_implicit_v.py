@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from apq import Region, SolveError, diagnostics, dv_sign_check
+from apq import Params, Region, SolveError, derive_constants, diagnostics, dv_sign_check
 from apq.implicit_v import chord_residual, solve_v_III, solve_v_IV, tangent_residual
 
 from conftest import CASES, gamma1, random_in_region, setup
@@ -65,6 +65,16 @@ def test_solve_v_IV_boundary_and_gamma1(a2_setup):
     # Unit-curve points inside the IV closure are their own base points.
     for v0 in (0.05, 0.1, c.v_minus * 0.9):
         assert abs(solve_v_IV(gamma1(v0, p), c, p) - v0) <= 1e-10 * v0
+
+
+def test_solve_v_IV_within_roundoff_of_extreme_curve():
+    # A scan grid point whose extreme-curve residual is -1.09e-13 of scale:
+    # both bracket ends have the same sign, and the nearer curve is the root.
+    p = Params(-1.0, -2.0, 20.0)
+    c = derive_constants(p)
+    x = (3193.999999217282, 4080654397.999998)
+    r = math.exp(math.log(x[0]) / p.p1)
+    assert solve_v_IV(x, c, p) == r / c.gamma_plus
 
 
 def test_residuals_and_sign_condition():

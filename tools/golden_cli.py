@@ -55,6 +55,13 @@ POINTS = {
                   "I-sliver": (11.66344158049396, 0.5694696922722268)},
 }
 
+# Region-II points of extreme classes whose three-step weight is hard to hit:
+# a length of 7e-4 on a far anchor, and a near-degenerate v_minus piece.
+REGION_II_EXTREME = [
+    ("2_1_20_II", ("2", "1", "20"), (0.0032021888142122106, 0.002997470745931452)),
+    ("0.5_-3_200_II", ("0.5", "-3", "200"), (14.51102042850678, 0.4719008602477527)),
+]
+
 # A step weight of norm 3.18 that the oracle once accepted at Q = 2.4716...
 FOUND_Q = "2.4716171030618224"
 FOUND_X = ("0.9722935503136965", "1.6815535661615362")
@@ -96,6 +103,10 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
         for q in ("1.5", "4", "20"):
             inv[f"scan_{p1}_{p2}_{q}"] = ["scan", *_cls(p1, p2, q), "--grid", "64"]
     inv["scan_underflow"] = ["scan", *_cls("1", "0.999"), "--grid", "4"]
+    # A region-IV grid point within roundoff of the extreme curve.
+    inv["scan_-1_-2_20"] = ["scan", *_cls("-1", "-2", "20"), "--grid", "64"]
+    for name, (p1, p2, q), x in REGION_II_EXTREME:
+        inv[f"extremal_{name}"] = ["extremal", *_cls(p1, p2, q), *_at(x)]
     inv["verify_concavity"] = ["verify-concavity", *_cls("1", "-1"),
                                "--n-interior", "50", "--n-boundary", "20"]
     inv["verify_oracle"] = ["verify-oracle", *_cls("1", "-1"), "--x1", "0.75", "--x2", "1.5"]
