@@ -4,9 +4,10 @@ Each root the package needs is a monotone scalar problem: the tangency roots
 gamma_minus < 1 < gamma_plus, the region-III chord parameter, the region-IV
 tangent parameter, and their limiting-class counterparts.  All of them are
 solved the same way: grow a bracket geometrically until the sign flips
-(expand), bisect it to float exhaustion (bisect), and, for the implicit
-parameters, polish on the raw residual with guarded Newton steps
-(newton_polish).  The class-norm estimate for weights with power pieces
+(expand), then shrink it by safeguarded Newton-bisection (solve; rtsafe in
+Numerical Recipes 9.4).  The implicit parameters pass a derivative and
+settle in about ten evaluations; the one-shot solves pass none and bisect
+to float exhaustion.  The class-norm estimate for weights with power pieces
 maximises a unimodal ratio by golden section (golden_max).
 """
 
@@ -16,8 +17,7 @@ import math
 
 from .errors import SolveError
 
-_BISECT_ITERATIONS = 200
-_NEWTON_STEPS = 3
+_ITERATIONS = 200
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -42,42 +42,47 @@ def expand(f, x: float, factor: float, ref: float, budget: int,
     raise SolveError(f"could not bracket the {what}")
 
 
-def bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Plain bisection on a bracketing interval, run to float exhaustion."""
+def solve(f, df, lo: float, hi: float, flo: float, fhi: float,
+          x: float | None = None) -> float:
+    """Root of f in [lo, hi] by safeguarded Newton-bisection.
+
+    Only the signs of flo = f(lo) and fhi = f(hi) are read.  Each step
+    evaluates f at x (default: the midpoint), keeps the part of the bracket
+    with the sign change, and takes the Newton step with derivative df when
+    it is finite and stays inside, else moves x to the midpoint.  Returns
+    once a step is within 4 ulp or the bracket cannot split; with df=None
+    that is bisection to float exhaustion.  SolveError without a sign change.
+    """
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise SolveError("bisection called without a sign change")
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        raise SolveError("root solve called without a sign change")
+    if x is None or not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(_ITERATIONS):
+        if x <= lo or x >= hi:
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo = x
         else:
-            hi = mid
+            hi = x
+        if df is not None:
+            try:
+                x_new = x - fx / df(x)
+            except (OverflowError, ZeroDivisionError):
+                x_new = math.nan
+            if abs(x_new - x) <= 4.0 * math.ulp(x):  # false for a NaN or infinite step
+                return min(max(x_new, lo), hi)
+            if lo < x_new < hi:
+                x = x_new
+                continue
+        x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
-
-
-def newton_polish(f, df, x: float, lo: float, hi: float) -> float:
-    """A few Newton steps from x; a step is kept only if it stays inside
-    (lo, hi) and shrinks |f|."""
-    for _ in range(_NEWTON_STEPS):
-        g = f(x)
-        dg = df(x)
-        if dg == 0.0:
-            break
-        x_new = x - g / dg
-        if not (lo < x_new < hi):
-            break
-        if abs(f(x_new)) < abs(g):
-            x = x_new
-    return x
 
 
 def golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:

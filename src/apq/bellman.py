@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._roots import bisect, expand
+from ._roots import expand, solve
 from .errors import DomainError
 from .geometry import Point, Region, classify, in_domain, on_gamma1, tangent_slope
 from .implicit_v import solve_v_III, solve_v_IV
@@ -54,7 +54,10 @@ class Gradient:
 
 
 def _value_II(x: Point, c: DerivedConstants) -> float:
-    return c.a2 * x[0] + c.b2 * x[1] + c.c2
+    # Region II lies in the triangle U(v_minus), U(1), U(v_plus) with vertex
+    # values 0, 1, 1, so the value is in [0, 1]; the clamp drops the few ulp
+    # that the rounded a2, b2, c2 add at the upper touch point (value 1).
+    return min(max(c.a2 * x[0] + c.b2 * x[1] + c.c2, 0.0), 1.0)
 
 
 def _value_III(x: Point, v: float, p: Params) -> float:
@@ -239,18 +242,21 @@ def evaluate_ainf(x1: float, x2: float, q: float) -> BellmanValue:
     if region == Region.II:
         return BellmanValue(value=a.a2 * x1 + a.b2 * x2 + a.c2, region=region)
     if region == Region.III:
-        # Collinearity of (x1,x2), (1,0), (v, log v):  (v-1)/log v = (x1-1)/x2.
+        # Collinearity of (x1,x2), (1,0), (v, log v):  (v-1)/log v = (x1-1)/x2,
+        # solved by Newton in u = log v < 0.
         ratio = (x1 - 1.0) / x2
-        f = lambda u: math.expm1(u) / u - ratio  # u = log v < 0
+        f = lambda u: math.expm1(u) / u - ratio
+        df = lambda u: (u * math.exp(u) - math.expm1(u)) / (u * u)
         f_hi = 1.0 - ratio  # limit at u -> 0
         lo, f_lo = expand(f, -0.5, 4.0, f_hi, 60, "limiting-class chord parameter")
-        v = math.exp(bisect(f, lo, 0.0, f_lo, f_hi))
+        v = math.exp(solve(f, df, lo, 0.0, f_lo, f_hi))
         return BellmanValue(value=(x1 - v) / (1.0 - v), region=region, v=v)
-    # Region IV: v solves v*x2 = (x1 - v)/gamma_plus + v*log v on [x1/gp, x1], and
+    # Region IV: v solves v*x2 = (x1 - v)/gp + v*log v by Newton in [x1/gp, x1], and
     #   B = gp/(gp-1) / (1 - v_minus) * (x1 - x2*v - v*(1 - log v)) * (v/v_minus)**(1/(gp-1)),
     # the p2 -> 0 limit of _value_IV (e -> gp/(gp-1), A -> 1/gp).
     gp = a.gamma_plus
     f = lambda v: (x1 - v) / gp + v * math.log(v) - v * x2
+    df = lambda v: math.log(v) + 1.0 - 1.0 / gp - x2
     lo, hi = x1 / gp, x1
     f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= 1e-13 * max(1.0, abs(x1)):
@@ -258,7 +264,7 @@ def evaluate_ainf(x1: float, x2: float, q: float) -> BellmanValue:
     elif abs(f_hi) <= 1e-13 * max(1.0, abs(x1)):
         v = hi
     else:
-        v = bisect(f, lo, hi, f_lo, f_hi)
+        v = solve(f, df, lo, hi, f_lo, f_hi)
     value = ((gp / (gp - 1.0)) / (1.0 - a.v_minus) * (x1 - x2 * v - v * (1.0 - math.log(v)))
              * math.exp((math.log(v) - math.log(a.v_minus)) / (gp - 1.0)))
     return BellmanValue(value=value, region=region, v=v)

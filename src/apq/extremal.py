@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import bisect, expand
+from ._roots import expand, solve
 from .errors import DomainError, SolveError
 from .geometry import (Point, Region, classify, gamma1_point, in_domain, on_gamma1,
                        on_gammaq, segment_in_domain)
@@ -70,7 +70,7 @@ def _crossing_above_one(ratio: float, p: Params) -> float | None:
         s_hi, f_hi = expand(f, 0.5, 4.0, f_at_one, 60, "unit-curve crossing with u > 1")
     except SolveError:
         return None
-    return math.exp(bisect(f, 0.0, s_hi, f_at_one, f_hi))
+    return math.exp(solve(f, None, 0.0, s_hi, f_at_one, f_hi))
 
 
 def _chord_split(x: Point, u: float, v: float, p: Params) -> tuple[float, float, float] | None:
@@ -119,7 +119,7 @@ def region1_chord(x: Point, c: DerivedConstants, p: Params) -> tuple[float, floa
     r = math.exp(math.log(x[0]) / p.p1)
     for lo, hi in ((r * c.v_minus, r / c.gamma_plus), (r / c.gamma_plus, r)):
         try:
-            v = bisect(miss, lo, hi, miss(lo), miss(hi))
+            v = solve(miss, None, lo, hi, miss(lo), miss(hi))
         except SolveError:  # rounding hid the sign change: no chord here
             continue
         u = v / c.v_minus

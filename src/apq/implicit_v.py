@@ -6,8 +6,8 @@ Region III: v != 1 solves the chord equation
 
 equivalent (for x2 != 1) to h(v) = (v**p1 - 1)/(v**p2 - 1) = (x1-1)/(x2-1).
 h is monotone on (0, 1) (derivative sign sig(p1*p2) there), so the v < 1
-branch is a clean bisection; cancellation near v = 1 is avoided by writing
-v**p - 1 = expm1(p*log v).
+branch has one sign change to bracket; cancellation near v = 1 is avoided
+by writing v**p - 1 = expm1(p*log v).
 
 Region IV: v solves the tangent-line equation
 
@@ -21,8 +21,10 @@ respectively, so the bracket carries a sign change unless x lies within
 roundoff of one curve, where that end is the root; the second root of the
 equation lies below r/gamma_plus and never enters the bracket.
 
-Both solvers bisect with the helpers in ``_roots`` and finish with its
-guarded Newton polish on the raw residual.
+Both solvers hand their bracket to ``_roots.solve``, a Newton iteration on
+the raw residual (in u = log v for the chord) that bisects whenever a step
+leaves the bracket, so each solve settles in about ten residual evaluations.
+A warm start v0 from a nearby point starts the same bracketed iteration.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import bisect, expand, newton_polish
+from ._roots import expand, solve
 from .errors import DomainError, SolveError
 from .geometry import Point, Region, classify, in_domain
 from .params import DerivedConstants, Params, derive_constants
@@ -49,8 +51,10 @@ class GradientDiagnostics:
 
 
 def chord_residual(v: float, x: Point, p: Params) -> float:
+    # Summed exactly: where the terms are exact (v = 1/2 at x = (3/4, 3/2) in
+    # class (1, -1)) the residual vanishes at the root alone, and Newton lands on it.
     x1, x2 = x
-    return v**p.p2 * (1.0 - x1) - v**p.p1 * (1.0 - x2) - (x2 - x1)
+    return math.fsum((v**p.p2 * (1.0 - x1), -v**p.p1 * (1.0 - x2), x1 - x2))
 
 
 def tangent_residual(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
@@ -70,41 +74,21 @@ def _tangent_scale(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
     return max(abs(x2), abs(c0 * x1 * v ** (p.p2 - p.p1)), abs((1.0 - c0) * v**p.p2), 1e-300)
 
 
-def _newton_warm(x: Point, residual, derivative, v0: float,
-                 lo: float, hi: float, scale) -> float | None:
-    """Guarded Newton from a nearby solution; None when it fails to settle."""
-    v = v0
-    for _ in range(15):
-        g = residual(v)
-        if abs(g) <= 1e-13 * scale(v):
-            return v
-        dg = derivative(v)
-        if dg == 0.0 or not math.isfinite(dg):
-            return None
-        v_new = v - g / dg
-        if not (lo < v_new < hi) or not math.isfinite(v_new):
-            return None
-        if v_new == v:
-            return v if abs(g) <= 1e-11 * scale(v) else None
-        v = v_new
-    return v if abs(residual(v)) <= 1e-11 * scale(v) else None
+def _chord_slope_log(v: float, x: Point, p: Params) -> float:
+    """d chord_residual / d log v, the upsilon of GradientDiagnostics."""
+    x1, x2 = x
+    return p.p2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (1.0 - x2)
 
 
 def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
     """Chord parameter v < 1 for a region-III point (or its closure).
 
-    v0, when given, warm-starts a guarded Newton iteration (used by stencil
-    evaluations); on any trouble the bracketed solve below takes over.
-    Raises SolveError for the degenerate chord at (1, 1) or when the ratio
-    (x1-1)/(x2-1) falls outside the range of h on (0, 1).
+    v0, when given, is a nearby solution (stencil evaluations) that starts
+    the Newton iteration.  Raises SolveError for the degenerate chord at
+    (1, 1) or when the ratio (x1-1)/(x2-1) falls outside the range of h on
+    (0, 1).
     """
     x1, x2 = x
-    residual = lambda v: chord_residual(v, x, p)
-    slope = lambda v: p.p2 * v ** (p.p2 - 1.0) * (1.0 - x1) - p.p1 * v ** (p.p1 - 1.0) * (1.0 - x2)
-    if v0 is not None and 0.0 < v0 < 1.0:
-        got = _newton_warm(x, residual, slope, v0, 0.0, 1.0, lambda v: _chord_scale(v, x, p))
-        if got is not None:
-            return got
     if abs(x1 - 1.0) < 1e-14 and abs(x2 - 1.0) < 1e-14:
         raise SolveError("degenerate chord: x = (1, 1) determines no parameter")
     if abs(x2 - 1.0) < 1e-300:
@@ -118,9 +102,16 @@ def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
     f_at_one = p.p1 / p.p2 - ratio  # limit of h as v -> 1
     if f_at_one == 0.0:
         raise SolveError("chord through (1,1) is tangent to the unit curve; no second crossing")
-    u_lo, f_lo = expand(h_of_u, -0.5, 4.0, f_at_one, 60, "unit-curve crossing with v < 1")
-    v = math.exp(bisect(h_of_u, u_lo, 0.0, f_lo, f_at_one))
-    v = newton_polish(residual, slope, v, 0.0, 1.0)
+    u_lo, _ = expand(h_of_u, -0.5, 4.0, f_at_one, 60, "unit-curve crossing with v < 1")
+    # Newton runs on the raw chord residual, which keeps x's digits where h's
+    # ratio rounds them away.  It equals h_of_u times a factor of one sign
+    # on v < 1, so it changes sign in the same bracket; it also vanishes at
+    # v = 1, so its sign as u -> 0- is taken opposite to its value at u_lo.
+    g = lambda u: chord_residual(math.exp(u), x, p)
+    dg = lambda u: _chord_slope_log(math.exp(u), x, p)
+    g_lo = g(u_lo)
+    u0 = math.log(v0) if v0 is not None and v0 > 0.0 else None
+    v = math.exp(solve(g, dg, u_lo, 0.0, g_lo, -g_lo, u0))
 
     res = abs(chord_residual(v, x, p)) / _chord_scale(v, x, p)
     if res > 1e-11:
@@ -134,7 +125,8 @@ def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
 
 def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
                v0: float | None = None) -> float:
-    """Tangent parameter v for a region-IV point (or the IV-side boundary)."""
+    """Tangent parameter v for a region-IV point (or the IV-side boundary);
+    v0, a nearby solution (stencil evaluations), starts the Newton iteration."""
     x1, x2 = x
     r = math.exp(math.log(x1) / p.p1)
     v_lo = r / c.gamma_plus
@@ -144,10 +136,6 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
     f = lambda v: tangent_residual(v, x, c, p)
     slope = lambda v: (c0 * (p.p2 - p.p1) * x1 * v ** (p.p2 - p.p1 - 1.0)
                        + (1.0 - c0) * p.p2 * v ** (p.p2 - 1.0))
-    if v0 is not None and v_lo < v0 < v_hi:
-        got = _newton_warm(x, f, slope, v0, v_lo, v_hi, lambda v: _tangent_scale(v, x, c, p))
-        if got is not None:
-            return got
 
     f_lo, f_hi = f(v_lo), f(v_hi)
     scale_lo = _tangent_scale(v_lo, x, c, p)
@@ -163,8 +151,7 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
         # nearer curve, subject to the residual check below.
         v = v_lo if abs(f_lo) / scale_lo <= abs(f_hi) / scale_hi else v_hi
     else:
-        v = bisect(f, v_lo, v_hi, f_lo, f_hi)
-        v = newton_polish(f, slope, v, 0.0, math.inf)
+        v = solve(f, slope, v_lo, v_hi, f_lo, f_hi, v0)
 
     res = abs(f(v)) / _tangent_scale(v, x, c, p)
     if res > 1e-11:
@@ -188,7 +175,7 @@ def diagnostics(x: Point, region: Region, p: Params,
         c = derive_constants(p)
     v = solve_v(x, region, p, c)
     x1, x2 = x
-    upsilon = p.p2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (1.0 - x2)
+    upsilon = _chord_slope_log(v, x, p)
     pi = c.A * x1 / v ** (p.p1 + 1.0) - x2 / v ** (p.p2 + 1.0)
     return GradientDiagnostics(upsilon=upsilon, pi=pi)
 

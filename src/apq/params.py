@@ -8,9 +8,9 @@ the scalar tangency equation
     (1 - p2/p1) * t**p2 + (p2/p1) * t**(p2 - p1) = Q**p2,
 
 whose left-hand side is monotone on each side of t = 1 (the sign of its
-derivative is sig(p2 * (t - 1))), so both roots are found by bracketed
-bisection with a guaranteed sign change (``_roots.expand`` and
-``_roots.bisect``).
+derivative is sig(p2 * (t - 1))), so each root is bracketed with a
+guaranteed sign change (``_roots.expand``) and bisected to float exhaustion
+(``_roots.solve`` without a derivative), once per class.
 
 Derived constants:
 
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._roots import bisect, expand
+from ._roots import expand, solve
 from .errors import DomainError, SolveError
 
 _BRACKET_EXPANSIONS = 200
@@ -141,9 +141,9 @@ def solve_gammas(p: Params) -> tuple[float, float]:
     # Lower root in (0, 1): expand toward 0 until the sign flips; upper root
     # in (1, inf): expand toward infinity.
     lo, flo = expand(g, -0.7, 4.0, g1, _BRACKET_EXPANSIONS, "lower tangency root")
-    gamma_minus = math.exp(bisect(g, lo, 0.0, flo, g1))
+    gamma_minus = math.exp(solve(g, None, lo, 0.0, flo, g1))
     hi, fhi = expand(g, 0.7, 4.0, g1, _BRACKET_EXPANSIONS, "upper tangency root")
-    gamma_plus = math.exp(bisect(g, 0.0, hi, g1, fhi))
+    gamma_plus = math.exp(solve(g, None, 0.0, hi, g1, fhi))
 
     for root in (gamma_minus, gamma_plus):
         residual = gamma_equation(root, p) - target
@@ -165,7 +165,7 @@ def derive_constants_from_gammas(p: Params, gamma_minus: float, gamma_plus: floa
         v_minus = gamma_minus / gamma_plus
         v_plus = 1.0 / v_minus
         A = p.q ** (-p.p2) * gamma_plus ** (p.p2 - p.p1)
-        nu = (1.0 - gamma_plus ** (-p.p1)) / p.p1
+        nu = -math.expm1(-p.p1 * math.log(gamma_plus)) / p.p1  # exact as Q -> 1
 
         vm1 = v_minus**p.p1
         vm2 = v_minus**p.p2
@@ -228,9 +228,9 @@ def solve_gammas_ainf(q: float) -> tuple[float, float]:
     g1 = g(1.0)  # = -log(Q) < 0
 
     lo, flo = expand(g, 0.5, 0.25, g1, _BRACKET_EXPANSIONS, "lower limiting root")
-    gamma_minus = bisect(g, lo, 1.0, flo, g1)
+    gamma_minus = solve(g, None, lo, 1.0, flo, g1)
     hi, fhi = expand(g, 2.0, 4.0, g1, _BRACKET_EXPANSIONS, "upper limiting root")
-    gamma_plus = bisect(g, 1.0, hi, g1, fhi)
+    gamma_plus = solve(g, None, 1.0, hi, g1, fhi)
     return gamma_minus, gamma_plus
 
 

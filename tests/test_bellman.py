@@ -6,6 +6,7 @@ import pytest
 from apq import (DomainError, Region, evaluate, evaluate_a2, evaluate_ainf,
                  evaluate_lambda, gradient)
 from apq.bellman import evaluate_region_formula, gradient_IV
+from apq.geometry import gammaq_point
 from apq.implicit_v import solve_v_III, solve_v_IV
 
 from conftest import CASES, boundary_samples, gamma1, random_in_domain, \
@@ -80,6 +81,16 @@ def test_value_range():
         for x in random_in_domain(rng, c, p, 10000):
             val = evaluate(x, c, p).value
             assert -1e-12 <= val <= 1.0 + 1e-12
+
+
+def test_region_ii_at_most_one_at_upper_touch_point():
+    # The affine sheet equals 1 at the upper touch point of region II; its
+    # rounded coefficients once gave 1.0000000000000004 there.
+    for q3 in ((3.0, 1.0, 1.3960884411018404), (2.0, 1.0, 3.7941284868494645)):
+        p, c = setup(*q3)
+        got = evaluate(gammaq_point(c.gamma_plus, p), c, p)
+        assert got.region == Region.II
+        assert 1.0 - 1e-14 <= got.value <= 1.0
 
 
 def test_gradient_examples(a2_setup):

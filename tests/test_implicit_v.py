@@ -1,12 +1,19 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apq import Params, Region, SolveError, derive_constants, diagnostics, dv_sign_check
+import apq.implicit_v as implicit_v
+from apq import (Params, Region, SolveError, derive_constants, diagnostics, dv_sign_check,
+                 evaluate)
 from apq.implicit_v import chord_residual, solve_v_III, solve_v_IV, tangent_residual
 
 from conftest import CASES, gamma1, random_in_region, setup
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "apqbench"))
+from reference import Reference  # noqa: E402
 
 
 def test_solve_v_III_closed_form(a2_setup):
@@ -75,6 +82,48 @@ def test_solve_v_IV_within_roundoff_of_extreme_curve():
     x = (3193.999999217282, 4080654397.999998)
     r = math.exp(math.log(x[0]) / p.p1)
     assert solve_v_IV(x, c, p) == r / c.gamma_plus
+
+
+def test_solver_evaluations_per_call(monkeypatch):
+    # Newton steps inside the bracket settle in about ten residual evaluations;
+    # bisection to float exhaustion took about 60.  The chord count includes
+    # the bracket search, which runs on h(v) - ratio.
+    counts = {"chord": 0, "tangent": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(implicit_v, "chord_residual", counted("chord", chord_residual))
+    monkeypatch.setattr(implicit_v, "tangent_residual", counted("tangent", tangent_residual))
+    expand = implicit_v.expand
+    monkeypatch.setattr(implicit_v, "expand",
+                        lambda f, *args: expand(counted("chord", f), *args))
+    rng = np.random.default_rng(7)
+    n = 0
+    for q3 in ((1.0, -1.0, 2.0), (2.0, 1.0, 1.05), (-0.5, -2.0, 50.0), (2.0, -1.0, 4.0),
+               (-1.0, -2.0, 20.0), (5.0, 4.0, 3.0)):
+        p, c = setup(*q3)
+        for _ in range(50):
+            solve_v_III(random_in_region(rng, c, p, Region.III, 1)[0], p)
+            solve_v_IV(random_in_region(rng, c, p, Region.IV, 1)[0], c, p)
+            n += 1
+    assert counts["tangent"] <= 12 * n
+    assert counts["chord"] <= 18 * n
+
+
+@pytest.mark.parametrize("x", [(5.5641401062549389e-07, 0.00071129172913262967),
+                               (4.5783148790893376e-06, 0.0020403353755374305)])
+def test_chord_solve_matches_reference_at_tiny_coordinates(x):
+    # Region-III scan points of (2, 1, 20) where (x1-1)/(x2-1) rounds away
+    # x's low digits: only the raw chord residual keeps B to 1e-13.
+    p, c = setup(2.0, 1.0, 20.0)
+    got = evaluate(x, c, p)
+    assert got.region == Region.III
+    want = float(Reference(2.0, 1.0, 20.0).bound(*x))
+    assert abs(got.value - want) <= 1e-13 * abs(want)
 
 
 def test_residuals_and_sign_condition():

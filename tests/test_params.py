@@ -146,11 +146,14 @@ def test_nu_check_large_class():
 
 
 def test_nu_check_q_near_one():
-    # Here nu*p1 = 1 - gamma_plus**-p1 is a difference of a few 1e-8 that
-    # carries roundoff of about 1e-16; the p1 relation is tested on 1 - nu*p1.
+    # Here nu*p1 = 1 - gamma_plus**-p1 is a few 1e-8: written as that
+    # difference it loses half its digits (4.1e-9 relative at (-0.5, -2)),
+    # so nu takes the expm1 form and carries only its own rounding.
     for p1, p2 in ((1.0, -1.0), (2.0, 1.0), (-0.5, -2.0)):
         c = derive_constants(Params(p1, p2, 1.0 + 1e-15))
         assert 0.0 < c.v_minus < 1.0
+        want = -math.expm1(-p1 * math.log(c.gamma_plus))
+        assert abs(c.nu * p1 - want) <= 1e-15 * abs(want)
 
 
 def test_unrepresentable_constants_are_solve_error():

@@ -1,7 +1,7 @@
 """Golden CLI outputs: run a fixed set of `apq` invocations, or compare two runs.
 
     python tools/golden_cli.py run SRC OUTDIR
-    python tools/golden_cli.py compare OLDDIR NEWDIR
+    python tools/golden_cli.py compare OLDDIR NEWDIR [--rtol R]
 
 `run` imports the `apq` package found in SRC (the directory that holds it,
 e.g. `src` of a checkout), calls its CLI in-process once per invocation and
@@ -12,7 +12,9 @@ with its type and message, as the `apq` executable would end.
 `compare` reports, file by file, whether two runs are byte-identical and,
 where they are not, the largest relative difference between corresponding
 numbers (when the text around the numbers matches).  It exits 0 when every
-file is byte-identical and 1 otherwise.
+file is byte-identical and 1 otherwise.  With --rtol R it also exits 0 when
+every file that is not byte-identical has the same exit code and text with
+every number within R relative, and names each file beyond R.
 
 Standard library only.
 """
@@ -158,9 +160,9 @@ def _max_rel_diff(a: str, b: str) -> float | None:
     return worst
 
 
-def compare(old: str, new: str) -> int:
+def compare(old: str, new: str, rtol: float | None = None) -> int:
     names = sorted(set(os.listdir(old)) | set(os.listdir(new)))
-    identical = 0
+    identical = within = 0
     for name in names:
         pa, pb = os.path.join(old, name), os.path.join(new, name)
         if not (os.path.exists(pa) and os.path.exists(pb)):
@@ -176,10 +178,16 @@ def compare(old: str, new: str) -> int:
             lines = zip(a.splitlines() + [""], b.splitlines() + [""])
             first = next((i for i, (la, lb) in enumerate(lines) if la != lb), None)
             print(f"{name}: text differs" + ("" if first is None else f" from line {first + 1}"))
+        elif a.partition("\n")[0] != b.partition("\n")[0]:
+            print(f"{name}: exit code differs")
+        elif rtol is not None and diff <= rtol:
+            within += 1
         else:
-            print(f"{name}: max relative difference {diff:.3g}")
-    print(f"{identical} of {len(names)} files byte-identical")
-    return 0 if identical == len(names) else 1
+            beyond = "" if rtol is None else f", beyond rtol {rtol:g}"
+            print(f"{name}: max relative difference {diff:.3g}{beyond}")
+    print(f"{identical} of {len(names)} files byte-identical"
+          + ("" if rtol is None else f", {within} more within rtol {rtol:g}"))
+    return 0 if identical + within == len(names) else 1
 
 
 def main(argv: list[str]) -> int:
@@ -188,6 +196,8 @@ def main(argv: list[str]) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
+    if len(argv) == 5 and argv[0] == "compare" and argv[3] == "--rtol":
+        return compare(argv[1], argv[2], float(argv[4]))
     sys.stderr.write(__doc__)
     return 2
 
