@@ -14,8 +14,7 @@ from .extremal import ExtremalPlan, build
 from .geometry import Line, Point, Region, classify, in_domain, tangent_line
 from .implicit_v import (GradientDiagnostics, diagnostics, dv_sign_check,
                          solve_v_III, solve_v_IV)
-from .params import (AinfConstants, DerivedConstants, Params, ainf_constants,
-                     derive_constants, solve_gammas)
+from .params import DerivedConstants, Params, ainf_constants, derive_constants, solve_gammas
 from .rh import RHCheck, RHResult, alpha0, power_witness, rh_check, rh_constant
 from .verify import (VerifyReport, check_concavity, check_dv_signs,
                      check_majorization, oracle_max)
@@ -26,7 +25,7 @@ from .weights import (ConstPiece, Piece, PowerPiece, Weight, apq_norm,
 
 __all__ = [
     "ApqError", "DomainError", "SolveError", "NonIntegrableError",
-    "Params", "DerivedConstants", "AinfConstants",
+    "Params", "DerivedConstants",
     "solve_gammas", "derive_constants", "ainf_constants",
     "Point", "Region", "Line", "in_domain", "classify", "tangent_line",
     "solve_v_III", "solve_v_IV", "dv_sign_check", "diagnostics",

@@ -7,7 +7,7 @@ Per-region closed forms (lambda reduced to 1 by homogeneity):
     III : (x1 - v**p1) / (1 - v**p1)                    v = chord parameter
     IV  : (1/(1-A)) * v_minus**(-(p1-p2)*A/(1-A)) / (1 - v_minus**p1)
           * v**((p1-p2)/(1-A))
-          * ((p1-p2)/p2 * v**p2 + x1 * v**(p2-p1) - (p1/p2) * x2)
+          * ((p1/p2) * (v**p2 - x2) - v**p2 + x1 * v**(p2-p1))
 
 with exact values on the unit curve: 1 when the curve parameter is >= 1,
 else 0.  Region IV powers are combined in log space; exponents like
@@ -19,9 +19,12 @@ continuous across the III/IV interface and jumps across the two tangent
 lines from (1,1) (which is why gradient() refuses points within 1e-9 of an
 internal boundary).
 
-Specializations: evaluate_a2 covers p = (1, -1) with purely algebraic region
-formulas (the implicit equations turn quadratic), and evaluate_ainf covers
-the limiting class p1 = 1, p2 = 0 in the variables (<w>, <log w>).
+The limiting class Params(1, 0, Q), in the variables (<w>, <log w>), runs
+through the same formulas: v**p2 in a second coordinate reads power2(v), p2
+as a factor reads k2 and the 1 of U(1) reads one2 (see params).
+evaluate_ainf(x1, x2, Q) is a shorthand for it.  evaluate_a2 covers
+p = (1, -1) with purely algebraic region formulas (the implicit equations
+turn quadratic).
 """
 
 from __future__ import annotations
@@ -30,11 +33,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._roots import expand, solve
 from .errors import DomainError
-from .geometry import Point, Region, classify, in_domain, on_gamma1, tangent_slope
-from .implicit_v import solve_v_III, solve_v_IV
-from .params import AinfConstants, DerivedConstants, Params, ainf_constants
+from .geometry import Point, Region, classify, in_domain, on_gamma1, region_of, tangent_slope
+from .implicit_v import _chord_slope_log, solve_v_III, solve_v_IV
+from .params import DerivedConstants, Params, ainf_constants, require_powers
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,9 @@ def _value_III(x: Point, v: float, p: Params) -> float:
 def _value_IV(x: Point, v: float, c: DerivedConstants, p: Params) -> float:
     e = (p.p1 - p.p2) / (1.0 - c.A)
     prefactor = math.exp(e * (math.log(v) - c.A * math.log(c.v_minus)))
-    inner = ((p.p1 - p.p2) / p.p2 * v**p.p2
-             + x[0] * v ** (p.p2 - p.p1)
-             - (p.p1 / p.p2) * x[1])
+    inner = ((p.p1 / p.k2) * (p.power2(v) - x[1])
+             - v**p.p2
+             + x[0] * v ** (p.p2 - p.p1))
     return prefactor * inner / ((1.0 - c.A) * (1.0 - c.v_minus**p.p1))
 
 
@@ -96,10 +98,10 @@ def evaluate(x: Point, c: DerivedConstants, p: Params) -> BellmanValue:
     """The sharp bound at x with threshold 1."""
     if not in_domain(x, p):
         raise DomainError(f"point {x} outside the moment domain")
+    region = region_of(x, c, p)
     if on_gamma1(x, p):
         v = math.exp(math.log(x[0]) / p.p1)
-        return BellmanValue(value=1.0 if v >= 1.0 else 0.0, region=classify(x, c, p), v=v)
-    region = classify(x, c, p)
+        return BellmanValue(value=1.0 if v >= 1.0 else 0.0, region=region, v=v)
     if region == Region.I:
         return BellmanValue(value=1.0, region=region)
     if region == Region.II:
@@ -113,6 +115,7 @@ def evaluate(x: Point, c: DerivedConstants, p: Params) -> BellmanValue:
 
 def evaluate_lambda(x: Point, lam: float, c: DerivedConstants, p: Params) -> BellmanValue:
     """The sharp bound at general threshold lambda via the scaling identity."""
+    require_powers(p, "evaluate_lambda")
     if not math.isfinite(lam):
         raise DomainError(f"threshold must be finite, got {lam}")
     if not in_domain(x, p):
@@ -134,7 +137,7 @@ def gradient(x: Point, c: DerivedConstants, p: Params) -> Gradient:
     x1, x2 = x
     for sign in ("+", "-"):
         slope = tangent_slope(1.0, sign, c, p)
-        if abs(x2 - (slope * (x1 - 1.0) + 1.0)) <= _BOUNDARY_REFUSAL * max(1.0, abs(x2)):
+        if abs(x2 - (slope * (x1 - 1.0) + p.one2)) <= _BOUNDARY_REFUSAL * max(1.0, abs(x2)):
             raise DomainError(f"x={x} is within {_BOUNDARY_REFUSAL} of the {sign} tangent line")
     if region == Region.I:
         return Gradient(0.0, 0.0)
@@ -142,9 +145,9 @@ def gradient(x: Point, c: DerivedConstants, p: Params) -> Gradient:
         return Gradient(c.a2, c.b2)
     if region == Region.III:
         v = solve_v_III(x, p)
-        upsilon = p.p2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (1.0 - x2)
+        upsilon = _chord_slope_log(v, x, p)
         vp1, vp2 = v**p.p1, v**p.p2
-        t1 = p.p2 * (x2 - 1.0) * (vp2 / (vp2 - 1.0)) / upsilon
+        t1 = p.k2 * (x2 - p.one2) * (vp2 / (p.power2(v) - p.one2)) / upsilon
         t2 = p.p1 * (x1 - 1.0) * (vp1 / (1.0 - vp1)) / upsilon
         return Gradient(t1, t2)
     v = solve_v_IV(x, c, p)
@@ -157,7 +160,7 @@ def gradient_IV(v: float, c: DerivedConstants, p: Params) -> Gradient:
     d = 1.0 / ((1.0 - c.A) * (1.0 - c.v_minus**p.p1))
     lr = math.log(v) - math.log(c.v_minus)
     t1 = d * math.exp(e * c.A * lr)
-    t2 = -(p.p1 / p.p2) * d * math.exp(e * (math.log(v) - c.A * math.log(c.v_minus)))
+    t2 = -(p.p1 / p.k2) * d * math.exp(e * (math.log(v) - c.A * math.log(c.v_minus)))
     return Gradient(t1, t2)
 
 
@@ -206,65 +209,6 @@ def evaluate_a2(x: Point, q: float) -> BellmanValue:
     return BellmanValue(value=value, region=region, v=v)
 
 
-# ---------------------------------------------------------------------------
-# Limiting class p1 = 1, p2 = 0: variables x1 = <w>, x2 = <log w>
-# ---------------------------------------------------------------------------
-
-def _classify_ainf(x1: float, x2: float, a: AinfConstants) -> Region:
-    # Same decision tree as the general classifier with sig(p2) -> +1.
-    d_plus = x2 - (x1 - 1.0) / a.gamma_plus
-    d_minus = x2 - (x1 - 1.0) / a.gamma_minus
-    if d_plus > 0.0 or x1 > a.gamma_plus:
-        return Region.I
-    if d_minus >= 0.0:
-        return Region.III
-    if x1 > a.gamma_minus:
-        return Region.II
-    return Region.IV
-
-
 def evaluate_ainf(x1: float, x2: float, q: float) -> BellmanValue:
-    """The sharp bound for the limiting class; domain x1*exp(-x2) in [1, Q]."""
-    a = ainf_constants(q)
-    if not (math.isfinite(x1) and math.isfinite(x2)) or x1 <= 0.0:
-        raise DomainError(f"invalid limiting-class point ({x1}, {x2})")
-    t = math.log(x1) - x2
-    lq = math.log(q)
-    s = 1e-12 * max(1.0, lq)
-    if not (-s <= t <= lq + s):
-        raise DomainError(f"point ({x1}, {x2}) outside the limiting-class domain")
-    if abs(t) <= s:
-        return BellmanValue(value=1.0 if x1 >= 1.0 else 0.0,
-                            region=_classify_ainf(x1, x2, a), v=x1)
-    region = _classify_ainf(x1, x2, a)
-    if region == Region.I:
-        return BellmanValue(value=1.0, region=region)
-    if region == Region.II:
-        return BellmanValue(value=a.a2 * x1 + a.b2 * x2 + a.c2, region=region)
-    if region == Region.III:
-        # Collinearity of (x1,x2), (1,0), (v, log v):  (v-1)/log v = (x1-1)/x2,
-        # solved by Newton in u = log v < 0.
-        ratio = (x1 - 1.0) / x2
-        f = lambda u: math.expm1(u) / u - ratio
-        df = lambda u: (u * math.exp(u) - math.expm1(u)) / (u * u)
-        f_hi = 1.0 - ratio  # limit at u -> 0
-        lo, f_lo = expand(f, -0.5, 4.0, f_hi, 60, "limiting-class chord parameter")
-        v = math.exp(solve(f, df, lo, 0.0, f_lo, f_hi))
-        return BellmanValue(value=(x1 - v) / (1.0 - v), region=region, v=v)
-    # Region IV: v solves v*x2 = (x1 - v)/gp + v*log v by Newton in [x1/gp, x1], and
-    #   B = gp/(gp-1) / (1 - v_minus) * (x1 - x2*v - v*(1 - log v)) * (v/v_minus)**(1/(gp-1)),
-    # the p2 -> 0 limit of _value_IV (e -> gp/(gp-1), A -> 1/gp).
-    gp = a.gamma_plus
-    f = lambda v: (x1 - v) / gp + v * math.log(v) - v * x2
-    df = lambda v: math.log(v) + 1.0 - 1.0 / gp - x2
-    lo, hi = x1 / gp, x1
-    f_lo, f_hi = f(lo), f(hi)
-    if abs(f_lo) <= 1e-13 * max(1.0, abs(x1)):
-        v = lo
-    elif abs(f_hi) <= 1e-13 * max(1.0, abs(x1)):
-        v = hi
-    else:
-        v = solve(f, df, lo, hi, f_lo, f_hi)
-    value = ((gp / (gp - 1.0)) / (1.0 - a.v_minus) * (x1 - x2 * v - v * (1.0 - math.log(v)))
-             * math.exp((math.log(v) - math.log(a.v_minus)) / (gp - 1.0)))
-    return BellmanValue(value=value, region=region, v=v)
+    """The sharp bound of the limiting class Params(1, 0, q) at (<w>, <log w>)."""
+    return evaluate((x1, x2), ainf_constants(q), Params(1.0, 0.0, q))

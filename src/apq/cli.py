@@ -2,10 +2,11 @@
 
 Subcommands: constants, region, eval, extremal, norm, scan, rh,
 verify-concavity, verify-oracle, verify-majorization.  Every command takes
---p1/--p2/--q; --p2 0 selects the limiting-class path (requires --p1 1 and is
-available for constants, eval and scan).  Output is JSON (or CSV for scan),
-all floats printed with 17 significant digits; identical invocations produce
-byte-identical output.
+--p1/--p2/--q; --p1 1 --p2 0 is the limiting class with coordinates
+(<w>, <log w>), served by constants, region, eval without --lambda, scan and
+verify-concavity (the others need power moments and exit 2).  Output is JSON
+(or CSV for scan), all floats printed with 17 significant digits; identical
+invocations produce byte-identical output.
 
 Exit codes: 0 success / campaign pass, 1 usage error, 2 domain error,
 3 verification failure.
@@ -22,7 +23,7 @@ from . import bellman, rh, verify
 from .errors import ApqError, DomainError, SolveError
 from .extremal import build
 from .geometry import classify, in_domain
-from .params import Params, ainf_constants, derive_constants
+from .params import Params, derive_constants
 from .weights import apq_norm, distribution, moment, weight_from_json, weight_to_json
 
 _EXIT_OK = 0
@@ -157,42 +158,23 @@ def _build_parser() -> _Parser:
     return ap
 
 
-def _is_ainf(args) -> bool:
-    if args.p2 != 0.0:
-        return False
-    if args.p1 != 1.0:
-        raise DomainError("the limiting-class path (--p2 0) requires --p1 1")
-    return True
-
-
 def _run(args) -> int:
     cmd = args.command
 
     if cmd == "constants":
-        if _is_ainf(args):
-            doc = ainf_constants(args.q).as_dict()
-        else:
-            doc = derive_constants(Params(args.p1, args.p2, args.q)).as_dict()
+        doc = derive_constants(Params(args.p1, args.p2, args.q)).as_dict()
         _emit(_to_json(doc), args.out)
         return _EXIT_OK
 
     if cmd == "eval":
-        if _is_ainf(args):
-            if args.lam is not None:
-                raise DomainError("--lambda is not supported on the limiting-class path")
-            res = bellman.evaluate_ainf(args.x1, args.x2, args.q)
+        p = Params(args.p1, args.p2, args.q)
+        c = derive_constants(p)
+        if args.lam is None:
+            res = bellman.evaluate((args.x1, args.x2), c, p)
         else:
-            p = Params(args.p1, args.p2, args.q)
-            c = derive_constants(p)
-            if args.lam is None:
-                res = bellman.evaluate((args.x1, args.x2), c, p)
-            else:
-                res = bellman.evaluate_lambda((args.x1, args.x2), args.lam, c, p)
+            res = bellman.evaluate_lambda((args.x1, args.x2), args.lam, c, p)
         _emit(_to_json(res.as_dict()), args.out)
         return _EXIT_OK
-
-    if _is_ainf(args) and cmd != "scan":
-        raise DomainError(f"the limiting-class path does not support '{cmd}'")
 
     if cmd == "region":
         p = Params(args.p1, args.p2, args.q)
@@ -232,21 +214,9 @@ def _run(args) -> int:
         n = args.grid
         if n < 2:
             raise DomainError("--grid must be at least 2")
-        if _is_ainf(args):
-            k = ainf_constants(args.q)
-            lq = math.log(args.q)
-
-            def at(r: float, qfrac: float):
-                x1, x2 = r, math.log(r) - qfrac * lq
-                return x1, x2, bellman.evaluate_ainf(x1, x2, args.q)
-        else:
-            p = Params(args.p1, args.p2, args.q)
-            k = c = derive_constants(p)
-
-            def at(r: float, qfrac: float):
-                x = (r**p.p1, (r * args.q ** (-qfrac)) ** p.p2)
-                return x[0], x[1], bellman.evaluate(x, c, p)
-        r_lo, r_hi = k.v_minus * k.gamma_minus, k.v_plus * k.gamma_plus
+        p = Params(args.p1, args.p2, args.q)
+        c = derive_constants(p)
+        r_lo, r_hi = c.v_minus * c.gamma_minus, c.v_plus * c.gamma_plus
         if r_lo == 0.0 or not math.isfinite(r_hi):
             raise SolveError(f"scan range [{r_lo}, {r_hi}] of unit-curve parameters "
                              "is not representable in double precision")
@@ -254,8 +224,9 @@ def _run(args) -> int:
         for i in range(n):
             r = r_lo * (r_hi / r_lo) ** (i / (n - 1.0))
             for j in range(n):
-                x1, x2, res = at(r, j / (n - 1.0))
-                rows.append((x1, x2, res.region.value, res.value))
+                x = (r**p.p1, p.power2(r * args.q ** (-j / (n - 1.0))))
+                res = bellman.evaluate(x, c, p)
+                rows.append((x[0], x[1], res.region.value, res.value))
         if args.format == "json":
             doc = [{"x1": a, "x2": b, "region": r, "B": v} for a, b, r, v in rows]
             _emit(_to_json(doc), args.out)

@@ -33,7 +33,7 @@ from .errors import DomainError, SolveError
 from .geometry import (Point, Region, classify, gamma1_point, in_domain, on_gamma1,
                        on_gammaq, segment_in_domain)
 from .implicit_v import solve_v_III, solve_v_IV
-from .params import DerivedConstants, Params
+from .params import DerivedConstants, Params, require_powers
 from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
 
 
@@ -194,6 +194,7 @@ def _boundary_iv_pieces(v: float, c: DerivedConstants, p: Params,
 
 def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPlan]:
     """A class weight with moments x whose super-level set at 1 has measure B(x)."""
+    require_powers(p, "build")
     if not in_domain(x, p):
         raise DomainError(f"point {x} outside the moment domain")
 

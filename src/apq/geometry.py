@@ -1,11 +1,13 @@
 """Domain geometry: the moment domain, its boundary curves, and the region split.
 
-Coordinates are x = (x1, x2) = (<w**p1>, <w**p2>).  The admissible domain is
+Coordinates are x = (x1, x2) = (<w**p1>, <w**p2>), or (<w>, <log w>) in the
+limiting class p2 = 0 (see params).  The admissible domain is
 
     x2**(1/p2) <= x1**(1/p1) <= Q * x2**(1/p2),
 
-tested in log space so a single additive slack on log(x1)/p1 - log(x2)/p2
-means a uniform relative slack on the power ratio.  The lower equality curve
+(exp(x2) <= x1 <= Q * exp(x2) in the limiting class), tested in log space so
+a single additive slack on log(x1)/p1 - root2(x2) means a uniform relative
+slack on the power ratio.  The lower equality curve
 (unit curve) carries the boundary data; the upper one is the extreme-class
 curve touched by the two tangent lines from (1, 1).
 
@@ -56,9 +58,9 @@ def log_ratio(x: Point, p: Params) -> float:
     x1, x2 = x
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise DomainError(f"non-finite point {x}")
-    if x1 <= 0.0 or x2 <= 0.0:
-        raise DomainError(f"point must have positive coordinates, got {x}")
-    return math.log(x1) / p.p1 - math.log(x2) / p.p2
+    if x1 <= 0.0 or (x2 <= 0.0 and p.p2 != 0.0):
+        raise DomainError(f"point must have positive power moments, got {x}")
+    return math.log(x1) / p.p1 - p.root2(x2)
 
 
 def in_domain(x: Point, p: Params, slack: float = 1e-12) -> bool:
@@ -66,7 +68,7 @@ def in_domain(x: Point, p: Params, slack: float = 1e-12) -> bool:
     x1, x2 = x
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise DomainError(f"non-finite point {x}")
-    if x1 <= 0.0 or x2 <= 0.0:
+    if x1 <= 0.0 or (x2 <= 0.0 and p.p2 != 0.0):
         return False
     r = log_ratio(x, p)
     lq = math.log(p.q)
@@ -77,15 +79,17 @@ def in_domain(x: Point, p: Params, slack: float = 1e-12) -> bool:
 def segment_log_ratio_range(a: Point, b: Point, p: Params) -> tuple[float, float]:
     """(min, max) of log_ratio along the segment from a to b, exactly.
 
-    Along P + s*D the derivative D1/(p1*x1) - D2/(p2*x2) vanishes where a
-    linear equation in s holds, so there is at most one interior extremum, at
-    s* = (D2*p1*P1 - D1*p2*P2) / (D1*D2*(p2 - p1)); when D1*D2 = 0 the ratio
-    is monotone and the endpoints suffice.
+    Along P + s*D the derivative D1/(p1*x1) - D2/(p2*x2) (D1/(p1*x1) - D2 in
+    the limiting class) vanishes where a linear equation in s holds, so there
+    is at most one interior extremum, at
+    s* = (D2*p1*P1 - D1*p2*P2 - D1*(1 - one2)) / (D1*D2*(p2 - p1)); when
+    D1*D2 = 0 the ratio is monotone and the endpoints suffice.
     """
     vals = [log_ratio(a, p), log_ratio(b, p)]
     d1, d2 = b[0] - a[0], b[1] - a[1]
     if d1 * d2 != 0.0:
-        s = (d2 * p.p1 * a[0] - d1 * p.p2 * a[1]) / (d1 * d2 * (p.p2 - p.p1))
+        s = ((d2 * p.p1 * a[0] - d1 * p.p2 * a[1] - d1 * (1.0 - p.one2))
+             / (d1 * d2 * (p.p2 - p.p1)))
         if 0.0 < s < 1.0:
             vals.append(log_ratio((a[0] + s * d1, a[1] + s * d2), p))
     return min(vals), max(vals)
@@ -112,7 +116,7 @@ def on_gammaq(x: Point, p: Params, tol: float = 1e-12) -> bool:
 
 def gamma1_point(v: float, p: Params) -> Point:
     """The unit-curve point with parameter v > 0."""
-    return (v**p.p1, v**p.p2)
+    return (v**p.p1, p.power2(v))
 
 
 def gammaq_point(a: float, p: Params) -> Point:
@@ -121,12 +125,12 @@ def gammaq_point(a: float, p: Params) -> Point:
     The tangent from unit-curve parameter v touches the extreme curve at the
     point with parameter a = gamma_sign * v.
     """
-    return (a**p.p1, p.q ** (-p.p2) * a**p.p2)
+    return (a**p.p1, p.power2(a / p.q))
 
 
 def tangent_slope(v: float, sign: str, c: DerivedConstants, p: Params) -> float:
     gamma = c.gamma_plus if sign == "+" else c.gamma_minus
-    return (p.p2 / p.p1) * p.q ** (-p.p2) * (gamma * v) ** (p.p2 - p.p1)
+    return (p.k2 / p.p1) * p.q ** (-p.p2) * (gamma * v) ** (p.p2 - p.p1)
 
 
 def tangent_line(v: float, sign: str, c: DerivedConstants, p: Params) -> Line:
@@ -149,10 +153,10 @@ def _split_quantities(x: Point, c: DerivedConstants, p: Params):
     x1, x2 = x
     s1 = math.copysign(1.0, p.p1)
     s2 = math.copysign(1.0, p.p2)
-    slope_plus = (p.p2 / p.p1) * c.A  # A = Q**(-p2) * gamma_plus**(p2-p1)
+    slope_plus = (p.k2 / p.p1) * c.A  # A = Q**(-p2) * gamma_plus**(p2-p1)
     slope_minus = tangent_slope(1.0, "-", c, p)
-    d_plus = s2 * (x2 - (slope_plus * (x1 - 1.0) + 1.0))
-    d_minus = s2 * (x2 - (slope_minus * (x1 - 1.0) + 1.0))
+    d_plus = s2 * (x2 - (slope_plus * (x1 - 1.0) + p.one2))
+    d_minus = s2 * (x2 - (slope_minus * (x1 - 1.0) + p.one2))
     e_plus = s1 * (x1 - c.gamma_plus**p.p1)
     e_minus = s1 * (x1 - c.gamma_minus**p.p1)
     return d_plus, d_minus, e_plus, e_minus
@@ -166,6 +170,11 @@ def classify(x: Point, c: DerivedConstants, p: Params) -> Region:
     """
     if not in_domain(x, p):
         return Region.OUTSIDE
+    return region_of(x, c, p)
+
+
+def region_of(x: Point, c: DerivedConstants, p: Params) -> Region:
+    """classify's decision tree for a point already known to be in the domain."""
     d_plus, d_minus, e_plus, e_minus = _split_quantities(x, c, p)
     if d_plus > 0.0 or e_plus > 0.0:
         return Region.I

@@ -1,6 +1,6 @@
 """Chord / tangent parameter v(x) in regions III and IV, with sign diagnostics.
 
-Region III: v != 1 solves the chord equation
+Region III: v != 1 solves the chord equation (x, U(1) and U(v) collinear)
 
     v**p2 * (1 - x1) - v**p1 * (1 - x2) = x2 - x1,
 
@@ -13,16 +13,20 @@ Region IV: v solves the tangent-line equation
 
     x2 = (p2/p1) * A * v**(p2-p1) * (x1 - v**p1) + v**p2,
 
-where A = Q**(-p2)*gamma_plus**(p2-p1).  Among the roots, the admissible one
-has x strictly between the unit-curve base point and the touch point, i.e.
-v in [r/gamma_plus, r] with r = x1**(1/p1).  At those endpoints the residual
+where A = Q**(-p2)*gamma_plus**(p2-p1).  The code writes both through the
+primitives of params (v**p2 as a coordinate is power2(v), p2 as a factor k2,
+the 1 of U(1) one2), so they cover the limiting class p2 = 0 too.
+
+Among the roots of the tangent equation, the admissible one has x strictly
+between the unit-curve base point and the touch point, i.e. v in
+[r/gamma_plus, r] with r = x1**(1/p1).  At those endpoints the residual
 equals the (signed) distance of x2 from the extreme curve and the unit curve
 respectively, so the bracket carries a sign change unless x lies within
 roundoff of one curve, where that end is the root; the second root of the
 equation lies below r/gamma_plus and never enters the bracket.
 
 Both solvers hand their bracket to ``_roots.solve``, a Newton iteration on
-the raw residual (in u = log v for the chord) that bisects whenever a step
+the residual (in u = log v for the chord) that bisects whenever a step
 leaves the bracket, so each solve settles in about ten residual evaluations.
 A warm start v0 from a nearby point starts the same bracketed iteration.
 """
@@ -43,7 +47,8 @@ class GradientDiagnostics:
     """Scalar diagnostics of the implicit parameter at a point.
 
     upsilon = p2*v**p2*(1-x1) - p1*v**p1*(1-x2)   (chord-equation derivative scale)
-    pi      = A*x1/v**(p1+1) - x2/v**(p2+1)       (negative throughout region IV)
+    pi      = -(dF/dv) / (p2*v**p2), F the tangent residual; on the tangent it
+              equals A*x1/v**(p1+1) - x2/v**(p2+1)  (negative throughout region IV)
     """
 
     upsilon: float
@@ -54,30 +59,39 @@ def chord_residual(v: float, x: Point, p: Params) -> float:
     # Summed exactly: where the terms are exact (v = 1/2 at x = (3/4, 3/2) in
     # class (1, -1)) the residual vanishes at the root alone, and Newton lands on it.
     x1, x2 = x
-    return math.fsum((v**p.p2 * (1.0 - x1), -v**p.p1 * (1.0 - x2), x1 - x2))
+    return math.fsum((p.power2(v) * (1.0 - x1), -v**p.p1 * (p.one2 - x2), p.one2 * x1 - x2))
 
 
 def tangent_residual(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
     x1, x2 = x
-    c0 = (p.p2 / p.p1) * c.A
-    return c0 * x1 * v ** (p.p2 - p.p1) + (1.0 - c0) * v**p.p2 - x2
+    c0 = (p.k2 / p.p1) * c.A
+    return c0 * x1 * v ** (p.p2 - p.p1) - c0 * v**p.p2 + p.power2(v) - x2
+
+
+def _tangent_slope(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
+    """d tangent_residual / dv."""
+    c0 = (p.k2 / p.p1) * c.A
+    return (c0 * (p.p2 - p.p1) * x[0] * v ** (p.p2 - p.p1 - 1.0)
+            + (p.k2 - c0 * p.p2) * v ** (p.p2 - 1.0))
 
 
 def _chord_scale(v: float, x: Point, p: Params) -> float:
     x1, x2 = x
-    return max(abs(x2 - x1), abs(v**p.p2 * (1.0 - x1)), abs(v**p.p1 * (1.0 - x2)), 1e-300)
+    return max(abs(p.one2 * x1 - x2), abs(p.power2(v) * (1.0 - x1)),
+               abs(v**p.p1 * (p.one2 - x2)), 1e-300)
 
 
 def _tangent_scale(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
     x1, x2 = x
-    c0 = (p.p2 / p.p1) * c.A
-    return max(abs(x2), abs(c0 * x1 * v ** (p.p2 - p.p1)), abs((1.0 - c0) * v**p.p2), 1e-300)
+    c0 = (p.k2 / p.p1) * c.A
+    return max(abs(x2), abs(c0 * x1 * v ** (p.p2 - p.p1)), abs(c0 * v**p.p2),
+               abs(p.power2(v)), 1e-300)
 
 
 def _chord_slope_log(v: float, x: Point, p: Params) -> float:
     """d chord_residual / d log v, the upsilon of GradientDiagnostics."""
     x1, x2 = x
-    return p.p2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (1.0 - x2)
+    return p.k2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (p.one2 - x2)
 
 
 def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
@@ -89,25 +103,32 @@ def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
     (0, 1).
     """
     x1, x2 = x
-    if abs(x1 - 1.0) < 1e-14 and abs(x2 - 1.0) < 1e-14:
-        raise SolveError("degenerate chord: x = (1, 1) determines no parameter")
-    if abs(x2 - 1.0) < 1e-300:
-        raise SolveError("degenerate chord: x2 = 1 with x1 != 1 meets the unit curve only at 1")
-    ratio = (x1 - 1.0) / (x2 - 1.0)
+    if abs(x1 - 1.0) < 1e-14 and abs(x2 - p.one2) < 1e-14:
+        raise SolveError("degenerate chord: x = U(1) determines no parameter")
+    if abs(x2 - p.one2) < 1e-300:
+        raise SolveError("degenerate chord: x2 = U(1)_2 with x1 != 1 meets the unit curve only at 1")
+    ratio = (x1 - 1.0) / (x2 - p.one2)
 
     def h_of_u(u: float) -> float:
         # h(exp(u)) - ratio, with u = log v < 0; expm1 keeps v near 1 exact.
-        return math.expm1(p.p1 * u) / math.expm1(p.p2 * u) - ratio
+        return math.expm1(p.p1 * u) / p.offset2(u) - ratio
 
-    f_at_one = p.p1 / p.p2 - ratio  # limit of h as v -> 1
+    f_at_one = p.p1 / p.k2 - ratio  # limit of h as v -> 1
     if f_at_one == 0.0:
         raise SolveError("chord through (1,1) is tangent to the unit curve; no second crossing")
     u_lo, _ = expand(h_of_u, -0.5, 4.0, f_at_one, 60, "unit-curve crossing with v < 1")
-    # Newton runs on the raw chord residual, which keeps x's digits where h's
+    # Newton runs on the chord residual, which keeps x's digits where h's
     # ratio rounds them away.  It equals h_of_u times a factor of one sign
     # on v < 1, so it changes sign in the same bracket; it also vanishes at
     # v = 1, so its sign as u -> 0- is taken opposite to its value at u_lo.
-    g = lambda u: chord_residual(math.exp(u), x, p)
+    # Near v = 1 that trivial root sits next to the wanted one, and the raw
+    # terms cancel down to their rounding; written in offsets from U(1) the
+    # same residual keeps its digits there (while far from 1 the offsets
+    # would round away the powers, which the raw form keeps).
+    def g(u: float) -> float:
+        if abs(p.p1 * u) < 0.5 and abs(p.p2 * u) < 0.5:
+            return (1.0 - x1) * p.offset2(u) - (p.one2 - x2) * math.expm1(p.p1 * u)
+        return chord_residual(math.exp(u), x, p)
     dg = lambda u: _chord_slope_log(math.exp(u), x, p)
     g_lo = g(u_lo)
     u0 = math.log(v0) if v0 is not None and v0 > 0.0 else None
@@ -132,10 +153,8 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
     v_lo = r / c.gamma_plus
     v_hi = r
 
-    c0 = (p.p2 / p.p1) * c.A
     f = lambda v: tangent_residual(v, x, c, p)
-    slope = lambda v: (c0 * (p.p2 - p.p1) * x1 * v ** (p.p2 - p.p1 - 1.0)
-                       + (1.0 - c0) * p.p2 * v ** (p.p2 - 1.0))
+    slope = lambda v: _tangent_slope(v, x, c, p)
 
     f_lo, f_hi = f(v_lo), f(v_hi)
     scale_lo = _tangent_scale(v_lo, x, c, p)
@@ -174,9 +193,8 @@ def diagnostics(x: Point, region: Region, p: Params,
     if c is None:
         c = derive_constants(p)
     v = solve_v(x, region, p, c)
-    x1, x2 = x
     upsilon = _chord_slope_log(v, x, p)
-    pi = c.A * x1 / v ** (p.p1 + 1.0) - x2 / v ** (p.p2 + 1.0)
+    pi = -_tangent_slope(v, x, c, p) / (p.k2 * v**p.p2)
     return GradientDiagnostics(upsilon=upsilon, pi=pi)
 
 

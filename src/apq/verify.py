@@ -31,7 +31,7 @@ from .extremal import region1_chord, region2_segment
 from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
                        segment_in_domain, tangent_slope)
 from .implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
-from .params import DerivedConstants, Params
+from .params import DerivedConstants, Params, require_powers
 from .weights import apq_norm, step_weight
 
 
@@ -72,7 +72,7 @@ def sample_point(rng: np.random.Generator, c: DerivedConstants, p: Params,
         r_hi = 4.0 * c.v_plus
     r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
     qfrac = rng.uniform(0.0, 1.0)
-    return (r**p.p1, (r * p.q ** (-qfrac)) ** p.p2)
+    return (r**p.p1, p.power2(r * p.q ** (-qfrac)))
 
 
 def sample_region_point(rng: np.random.Generator, c: DerivedConstants, p: Params,
@@ -92,8 +92,7 @@ def sample_region_point(rng: np.random.Generator, c: DerivedConstants, p: Params
         for dx, dy in ((2, 0), (-2, 0), (0, 2), (0, -2),
                        (2, 2), (2, -2), (-2, 2), (-2, -2)):
             pt = (x[0] + dx * h1, x[1] + dy * h2)
-            if pt[0] <= 0.0 or pt[1] <= 0.0 or not in_domain(pt, p) \
-                    or classify(pt, c, p) != region:
+            if classify(pt, c, p) != region:
                 ok = False
                 break
         if ok:
@@ -152,12 +151,13 @@ def _boundary_points(c: DerivedConstants, p: Params, which: str, n: int):
     'iii_iv' (III/IV tangent segment).
     """
     pts = []
+    one = gamma1_point(1.0, p)
     for k in range(n):
         s = (k + 0.5) / n * 0.9 + 0.05
         if which == "plus":
-            a, bpt = (1.0, 1.0), gammaq_point(c.gamma_plus, p)
+            a, bpt = one, gammaq_point(c.gamma_plus, p)
         elif which == "minus":
-            a, bpt = (1.0, 1.0), gammaq_point(c.gamma_minus, p)
+            a, bpt = one, gammaq_point(c.gamma_minus, p)
         else:
             a, bpt = gammaq_point(c.gamma_minus, p), gamma1_point(c.v_minus, p)
         pts.append((a[0] + s * (bpt[0] - a[0]), a[1] + s * (bpt[1] - a[1])))
@@ -241,8 +241,7 @@ def check_concavity(c: DerivedConstants, p: Params, n_interior: int = 500,
             for _ in range(6):
                 cand1 = (z[0] + delta * nx, z[1] + delta * ny)
                 cand2 = (z[0] - delta * nx, z[1] - delta * ny)
-                if (cand1[0] > 0 and cand2[0] > 0 and cand1[1] > 0 and cand2[1] > 0
-                        and in_domain(cand1, p) and in_domain(cand2, p)):
+                if in_domain(cand1, p) and in_domain(cand2, p):
                     y1, y2 = cand1, cand2
                     break
                 delta *= 0.25
@@ -270,7 +269,7 @@ def _fd_slope_bound(x: Point, c: DerivedConstants, p: Params, idx: int) -> float
     slopes = []
     for sgn in (1.0, -1.0):
         pt = (x[0] + sgn * h, x[1]) if idx == 0 else (x[0], x[1] + sgn * h)
-        if pt[0] > 0.0 and pt[1] > 0.0 and in_domain(pt, p):
+        if in_domain(pt, p):
             slopes.append(abs((b(pt) - f0) / h))
     return max(slopes) if slopes else 0.0
 
@@ -294,6 +293,7 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
     breakpoints on a uniform grid, subject to a relative moment band and the
     class-norm cap.  Returns -inf when nothing is feasible.
     """
+    require_powers(p, "oracle_max")
     if n_pieces > 4:
         raise SolveError("combinatorial budget: n_pieces <= 4")
     vals = np.exp(np.linspace(math.log(c.v_minus * c.gamma_minus),
@@ -388,6 +388,7 @@ def _random_split(x: Point, p: Params, rng: np.random.Generator):
 def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
                        seed: int = 7, depth: int = 8,
                        tol: float = 1e-9) -> VerifyReport:
+    require_powers(p, "check_majorization")
     rng = np.random.default_rng(seed)
     details: list = []
     worst = -math.inf

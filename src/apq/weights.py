@@ -21,7 +21,7 @@ import numpy as np
 from ._roots import golden_max
 from .errors import DomainError, NonIntegrableError
 from .geometry import segment_log_ratio_range
-from .params import Params
+from .params import Params, require_powers
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,7 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     `resolution` geometric subdivisions per piece, and the best grid cell
     gets one coordinate-wise golden-section refinement.
     """
+    require_powers(p, "apq_norm")
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
     if all(isinstance(pc, ConstPiece) for pc in w.pieces):

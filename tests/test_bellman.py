@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +9,16 @@ import pytest
 from apq import (DomainError, Region, evaluate, evaluate_a2, evaluate_ainf,
                  evaluate_lambda, gradient)
 from apq.bellman import evaluate_region_formula, gradient_IV
+from apq.cli import main
 from apq.geometry import gammaq_point
 from apq.implicit_v import solve_v_III, solve_v_IV
+from apq.params import ainf_constants
 
 from conftest import CASES, boundary_samples, gamma1, random_in_domain, \
     random_in_region, setup
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "apqbench"))
+from reference import Reference  # noqa: E402
 
 
 def _iv_boundary_oracle(v, c, p):
@@ -207,14 +215,40 @@ def test_ainf_examples():
 
 
 def test_ainf_matches_small_exponent_limit():
-    # The dedicated path is the p2 -> 0 limit of the general one.
-    eps = 1e-5
-    p, c = setup(1.0, eps, 2.0)
-    # Points covering all four regions, including deep region IV (0.2, -2.2).
-    for x1, y in [(1.4, -0.15), (0.8, -0.5), (2.5, 0.4), (0.3, -1.6), (0.2, -2.2)]:
-        a = evaluate_ainf(x1, y, 2.0).value
-        b = evaluate((x1, math.exp(eps * y)), c, p).value
-        assert abs(a - b) <= 5e-4
+    # The limiting class is the p2 -> 0 limit of the general one, from both sides.
+    for eps in (1e-5, -1e-5):
+        p, c = setup(1.0, eps, 2.0)
+        # Points covering all four regions, including deep region IV (0.2, -2.2).
+        for x1, y in [(1.4, -0.15), (0.8, -0.5), (2.5, 0.4), (0.3, -1.6), (0.2, -2.2)]:
+            a = evaluate_ainf(x1, y, 2.0).value
+            b = evaluate((x1, math.exp(eps * y)), c, p).value
+            assert abs(a - b) <= 5e-4
+
+
+def test_ainf_matches_reference(capsys):
+    # A region-IV point with tiny x1 at Q = 1e6: a bracket-end snap with an
+    # absolute tolerance once returned x1 itself, 7.4368e-09.
+    x1, x2 = 7.4369051616054005e-09, -19.173433563936406
+    want = float(Reference(1.0, 0.0, 1e6).bound(x1, x2))
+    assert main(["eval", "--p1", "1", "--p2", "0", "--q", "1e6",
+                 "--x1", repr(x1), "--x2", repr(x2)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["region"] == "IV"
+    assert abs(doc["value"] - want) <= 1e-12 * want
+    # Seeded points in strip coordinates (log-uniform radius, fraction of
+    # the way from the unit curve to the extreme curve) over all regions.
+    rng = np.random.default_rng(12)
+    for q in (1.05, 2.0, 20.0, 1e3, 1e6):
+        a, ref = ainf_constants(q), Reference(1.0, 0.0, q)
+        lo, hi = math.log(a.v_minus * a.gamma_minus / 16.0), math.log(4.0 * a.v_plus)
+        seen = set()
+        for _ in range(150):
+            r = math.exp(rng.uniform(lo, hi))
+            x = (r, math.log(r) - rng.uniform(0.0, 1.0) * math.log(q))
+            got = evaluate_ainf(*x, q)
+            seen.add(got.region)
+            assert abs(got.value - float(ref.bound(*x))) <= 1e-12, (q, x)
+        assert seen == {Region.I, Region.II, Region.III, Region.IV}
 
 
 def test_ainf_region_iv_continuity():

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from apq import (DomainError, Params, apq_norm, build, check_majorization,
+                 derive_constants, evaluate_lambda, oracle_max, step_weight)
 from apq.cli import main
 
 
@@ -207,6 +209,30 @@ def test_ainf_path(capsys):
                         "--grid", "8")
     assert code == 0
     assert len(out.strip().split("\n")) == 65
+
+
+def test_limiting_class_refused_where_power_moments_are_needed(tmp_path, capsys):
+    p = Params(1.0, 0.0, 2.0)
+    c = derive_constants(p)
+    x = (0.75, math.log(0.5) / 2.0)
+    for call in (lambda: build(x, c, p),
+                 lambda: apq_norm(step_weight([0.5], [0.5, 1.5]), p),
+                 lambda: oracle_max(x, c, p),
+                 lambda: check_majorization(c, p, n_weights=2),
+                 lambda: evaluate_lambda(x, 1.3, c, p)):
+        with pytest.raises(DomainError):
+            call()
+    weight = tmp_path / "w.json"
+    weight.write_text(json.dumps({"pieces": [{"kind": "const", "value": 1.0,
+                                              "lo": 0.0, "hi": 1.0}]}))
+    cls = ["--p1", "1", "--p2", "0", "--q", "2"]
+    at = ["--x1", repr(x[0]), "--x2", repr(x[1])]
+    for argv in (["extremal", *cls, *at], ["norm", *cls, "--weight", str(weight)],
+                 ["verify-oracle", *cls, *at], ["verify-majorization", *cls],
+                 ["eval", *cls, *at, "--lambda", "1.3"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "power moments" in json.loads(out)["error"]
 
 
 def test_out_file(tmp_path, capsys):

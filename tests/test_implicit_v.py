@@ -8,6 +8,7 @@ import pytest
 import apq.implicit_v as implicit_v
 from apq import (Params, Region, SolveError, derive_constants, diagnostics, dv_sign_check,
                  evaluate)
+from apq.geometry import gamma1_point
 from apq.implicit_v import chord_residual, solve_v_III, solve_v_IV, tangent_residual
 
 from conftest import CASES, gamma1, random_in_region, setup
@@ -124,6 +125,25 @@ def test_chord_solve_matches_reference_at_tiny_coordinates(x):
     assert got.region == Region.III
     want = float(Reference(2.0, 1.0, 20.0).bound(*x))
     assert abs(got.value - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("p1, p2", [(1.0, 0.0), (1.0, -1.0), (-0.5, -2.0), (2.0, 1.0)])
+def test_chord_solve_matches_reference_near_q_one(p1, p2):
+    # At Q = 1 + 1e-6 the chord parameter sits within about 3e-3 of the
+    # trivial root v = 1, where the raw chord residual cancels to rounding;
+    # it missed the reference by up to 3.4e-10 here.  Closer to U(1) than
+    # v = v_minus**(1/4), B itself amplifies rounding in x beyond 1e-12.
+    q = 1.0 + 1e-6
+    p, c = setup(p1, p2, q)
+    ref = Reference(p1, p2, q)
+    rng = np.random.default_rng(8)
+    one = gamma1_point(1.0, p)
+    for _ in range(100):
+        # A point of the chord from U(1) to U(v), v in (v_minus, 1): region III.
+        v, mu = c.v_minus ** rng.uniform(0.25, 1.0), rng.uniform(0.0, 1.0)
+        u = gamma1_point(v, p)
+        x = (mu * one[0] + (1.0 - mu) * u[0], mu * one[1] + (1.0 - mu) * u[1])
+        assert abs(evaluate(x, c, p).value - float(ref.bound(*x))) <= 2e-12, x
 
 
 def test_residuals_and_sign_condition():

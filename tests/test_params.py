@@ -103,7 +103,7 @@ def test_invalid_params_rejected():
     with pytest.raises(DomainError):
         Params(-1.0, 1.0, 2.0)      # p1 < p2
     with pytest.raises(DomainError):
-        Params(1.0, 0.0, 2.0)       # p2 = 0 handled by the dedicated path
+        Params(2.0, 0.0, 2.0)       # p2 = 0 needs p1 = 1
     with pytest.raises(DomainError):
         Params(1.0, -1.0, 1.0)      # Q must exceed 1
     with pytest.raises(DomainError):

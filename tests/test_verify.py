@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from apq import (Region, build, check_concavity, check_dv_signs,
-                 check_majorization, distribution, evaluate, oracle_max)
+from apq import (Params, Region, build, check_concavity, check_dv_signs,
+                 check_majorization, derive_constants, distribution, evaluate, oracle_max)
 from apq.params import derive_constants_from_gammas
 from apq.verify import lipschitz_slack, sample_point
 
@@ -15,6 +15,19 @@ def test_concavity_small_pass(a2_setup):
     assert rep.passed
     assert rep.worst_violation <= 0.0
     assert rep.samples > 0
+
+
+def test_limiting_class_surface_campaigns():
+    # Params(1, 0, Q) runs through the general surface, so the concavity and
+    # dv-sign campaigns apply to it unchanged, and still catch a bad root.
+    p = Params(1.0, 0.0, 2.0)
+    c = derive_constants(p)
+    rep = check_concavity(c, p, n_interior=200, n_boundary=50, seed=0)
+    assert rep.passed, rep.details[:3]
+    rep = check_dv_signs(c, p, n_points=200)
+    assert rep.passed, rep.details[:3]
+    bad = derive_constants_from_gammas(p, c.gamma_minus, 1.05 * c.gamma_plus, check=False)
+    assert not check_concavity(bad, p, n_interior=30, n_boundary=30, seed=0).passed
 
 
 def test_concavity_mutation_fails(a2_setup):

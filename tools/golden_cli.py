@@ -1,7 +1,7 @@
 """Golden CLI outputs: run a fixed set of `apq` invocations, or compare two runs.
 
     python tools/golden_cli.py run SRC OUTDIR
-    python tools/golden_cli.py compare OLDDIR NEWDIR [--rtol R]
+    python tools/golden_cli.py compare OLDDIR NEWDIR [--rtol R] [--atol A]
 
 `run` imports the `apq` package found in SRC (the directory that holds it,
 e.g. `src` of a checkout), calls its CLI in-process once per invocation and
@@ -14,7 +14,9 @@ where they are not, the largest relative difference between corresponding
 numbers (when the text around the numbers matches).  It exits 0 when every
 file is byte-identical and 1 otherwise.  With --rtol R it also exits 0 when
 every file that is not byte-identical has the same exit code and text with
-every number within R relative, and names each file beyond R.
+every number within R relative, and names each file beyond R.  With --atol A
+a pair of numbers a, b also passes when |a - b| <= A, so that values near 0
+may move by ulps: a pair passes when |a - b| <= max(R*max(|a|, |b|), A).
 
 Standard library only.
 """
@@ -146,21 +148,21 @@ def run(src: str, outdir: str) -> None:
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def _max_rel_diff(a: str, b: str) -> float | None:
-    """Largest relative difference between corresponding numbers, or None
-    when the text around the numbers differs."""
+def _max_rel_diff(a: str, b: str, atol: float = 0.0) -> float | None:
+    """Largest relative difference between corresponding numbers that differ
+    by more than atol, or None when the text around the numbers differs."""
     if _NUMBER.split(a) != _NUMBER.split(b):
         return None
     worst = 0.0
     for sa, sb in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
         fa, fb = float(sa), float(sb)
         scale = max(abs(fa), abs(fb))
-        if scale > 0.0:
+        if scale > 0.0 and abs(fa - fb) > atol:
             worst = max(worst, abs(fa - fb) / scale)
     return worst
 
 
-def compare(old: str, new: str, rtol: float | None = None) -> int:
+def compare(old: str, new: str, rtol: float | None = None, atol: float = 0.0) -> int:
     names = sorted(set(os.listdir(old)) | set(os.listdir(new)))
     identical = within = 0
     for name in names:
@@ -173,7 +175,7 @@ def compare(old: str, new: str, rtol: float | None = None) -> int:
         if a == b:
             identical += 1
             continue
-        diff = _max_rel_diff(a, b)
+        diff = _max_rel_diff(a, b, atol)
         if diff is None:
             lines = zip(a.splitlines() + [""], b.splitlines() + [""])
             first = next((i for i, (la, lb) in enumerate(lines) if la != lb), None)
@@ -194,10 +196,11 @@ def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "run":
         run(argv[1], argv[2])
         return 0
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(argv[1], argv[2])
-    if len(argv) == 5 and argv[0] == "compare" and argv[3] == "--rtol":
-        return compare(argv[1], argv[2], float(argv[4]))
+    if len(argv) in (3, 5, 7) and argv[0] == "compare":
+        opts = dict(zip(argv[3::2], argv[4::2]))
+        if set(opts) <= {"--rtol", "--atol"}:
+            rtol = float(opts["--rtol"]) if "--rtol" in opts else None
+            return compare(argv[1], argv[2], rtol, float(opts.get("--atol", 0.0)))
     sys.stderr.write(__doc__)
     return 2
 
