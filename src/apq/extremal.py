@@ -63,6 +63,11 @@ class Region2Segment:
 def _crossing_above_one(ratio: float, p: Params) -> float | None:
     """Unit-curve parameter u > 1 with (u**p1 - 1)/(u**p2 - 1) = ratio."""
     f = lambda s: math.expm1(p.p1 * s) / math.expm1(p.p2 * s) - ratio  # s = log u > 0
+
+    def df(s: float) -> float:
+        e1, e2 = math.expm1(p.p1 * s), math.expm1(p.p2 * s)
+        return (p.p1 * (e1 + 1.0) * e2 - p.p2 * (e2 + 1.0) * e1) / e2**2
+
     f_at_one = p.p1 / p.p2 - ratio
     if f_at_one == 0.0:
         return None
@@ -70,7 +75,7 @@ def _crossing_above_one(ratio: float, p: Params) -> float | None:
         s_hi, f_hi = expand(f, 0.5, 4.0, f_at_one, 60, "unit-curve crossing with u > 1")
     except SolveError:
         return None
-    return math.exp(solve(f, None, 0.0, s_hi, f_at_one, f_hi))
+    return math.exp(solve(f, df, 0.0, s_hi, f_at_one, f_hi))
 
 
 def _chord_split(x: Point, u: float, v: float, p: Params) -> tuple[float, float, float] | None:

@@ -9,7 +9,9 @@ normalized excess over the stated tolerances is <= 0):
   jump analysis.
 * oracle_max: brute-force realization of the defining supremum over gridded
   step weights with a relative moment band; always a lower estimate up to the
-  band's Lipschitz correction.
+  band's Lipschitz correction.  The search is exhaustive, but the last
+  piece's value is found by binary search in the monotone power tables, so
+  it costs C(break_grid, n-1) * V**(n-1) * log V for n pieces on V values.
 * check_majorization: random dyadic splitting trees whose chords stay inside
   the domain, closed at the leaves with exact unit-curve decompositions; every
   generated step weight must satisfy |{w >= 1}| <= B(moments(w)) and every
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bellman import evaluate
-from .errors import SolveError
+from .errors import DomainError, SolveError
 from .extremal import region1_chord, region2_segment
 from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
                        segment_in_domain, tangent_slope)
@@ -201,6 +203,16 @@ def check_concavity(c: DerivedConstants, p: Params, n_interior: int = 500,
                     n_boundary: int = 100, seed: int = 0,
                     eig_tol: float = 1e-6, det_tol: float = 1e-5,
                     midpoint_tol: float = 1e-9) -> VerifyReport:
+    """Hessian checks at n_interior points per region and midpoint checks
+    at n_boundary points per internal boundary.
+
+    A `worst_violation` below about 1e-7 says nothing about curvature: it is
+    the roundoff, about eps/h**2, of the fourth-order stencil with step
+    h = 1e-4, and moves when only the last bits of the surface change.
+    """
+    if n_interior < 0 or n_boundary < 0 or n_interior + n_boundary < 1:
+        raise DomainError("check_concavity needs n_interior, n_boundary >= 0 and at "
+                          f"least one sample, got {n_interior} and {n_boundary}")
     rng = np.random.default_rng(seed)
     details: list = []
     worst = -math.inf
@@ -283,6 +295,20 @@ def lipschitz_slack(x: Point, c: DerivedConstants, p: Params,
     return t1 * moment_band * abs(x[0]) + t2 * moment_band * abs(x[1])
 
 
+def _band_range(rest: np.ndarray, tab: np.ndarray, half: float):
+    """Index range [lo, hi) of the entries of the monotone table `tab` within
+    `half` of each entry of `rest`, by binary search (on the reversed table
+    when it falls)."""
+    falling = tab[0] > tab[-1]
+    if falling:
+        tab = tab[::-1]
+    lo = np.searchsorted(tab, rest - half, side="left")
+    hi = np.searchsorted(tab, rest + half, side="right")
+    if falling:
+        return len(tab) - hi, len(tab) - lo
+    return lo, hi
+
+
 def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
                value_grid: int = 40, break_grid: int = 20,
                moment_band: float = 2e-3, norm_slack: float = 1e-6) -> float:
@@ -292,8 +318,20 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
     log-uniform grid spanning [v_minus*gamma_minus, v_plus*gamma_plus],
     breakpoints on a uniform grid, subject to a relative moment band and the
     class-norm cap.  Returns -inf when nothing is feasible.
+
+    The search is exhaustive: for each choice of cuts and of the first
+    n_pieces - 1 values, the last value's admissible indices form one range
+    of each monotone power table, found by binary search and widened past
+    rounding, and every row in it gets the full moment test.  With V grid
+    values that costs C(break_grid, n_pieces - 1) * V**(n_pieces - 1) * log V
+    instead of the V**n_pieces of the whole value product, and finds the
+    same candidates in the same order.
     """
     require_powers(p, "oracle_max")
+    if n_pieces < 1 or value_grid < 2 or break_grid < n_pieces - 1:
+        raise DomainError("oracle_max needs n_pieces >= 1, value_grid >= 2 and "
+                          f"break_grid >= n_pieces - 1, got {n_pieces}, {value_grid} "
+                          f"and {break_grid}")
     if n_pieces > 4:
         raise SolveError("combinatorial budget: n_pieces <= 4")
     vals = np.exp(np.linspace(math.log(c.v_minus * c.gamma_minus),
@@ -307,15 +345,35 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
     ind = (vals >= 1.0).astype(float)
     breaks = np.arange(1, break_grid + 1) / (break_grid + 1.0)
 
-    # Every value-index tuple in itertools.product order, without a list of tuples.
-    combos = np.indices((len(vals),) * n_pieces).reshape(n_pieces, -1).T
-    rows1, rows2 = v1[combos], v2[combos]  # gathered once: they do not depend on the cuts
+    # Value indices of all pieces but the last, in itertools.product order
+    # (one empty prefix for a single piece).
+    if n_pieces == 1:
+        prefix = np.zeros((1, 0), dtype=np.intp)
+    else:
+        prefix = np.indices((len(vals),) * (n_pieces - 1)).reshape(n_pieces - 1, -1).T
+    pre1, pre2 = v1[prefix], v2[prefix]
     cand: list[tuple[float, tuple, tuple]] = []
     for cuts in itertools.combinations(breaks, n_pieces - 1):
         ts = np.array([0.0, *cuts, 1.0])
         lens = np.diff(ts)
-        m1 = rows1 @ lens
-        m2 = rows2 @ lens
+        # The last piece must bring each moment into its band.  The widening
+        # by 1e-9 of the band and 1e-12 |x_k| covers rounding, so the range
+        # holds every row the moment test below accepts.
+        lo, hi = 0, len(vals)
+        for xk, tab, pre in ((x[0], v1, pre1), (x[1], v2, pre2)):
+            band = moment_band * abs(xk)
+            a, b = _band_range(xk - pre @ lens[:-1], lens[-1] * tab,
+                               band + 1e-9 * band + 1e-12 * abs(xk))
+            lo, hi = np.maximum(lo, a), np.minimum(hi, b)
+        counts = np.maximum(hi - lo, 0)
+        owner = np.repeat(np.arange(len(prefix)), counts)
+        if not len(owner):
+            continue
+        # Each prefix's last index runs through its range: product order.
+        last = lo[owner] + np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+        combos = np.column_stack([prefix[owner], last])
+        m1 = v1[combos] @ lens
+        m2 = v2[combos] @ lens
         feas = (np.abs(m1 - x[0]) <= moment_band * abs(x[0])) \
             & (np.abs(m2 - x[1]) <= moment_band * abs(x[1]))
         if not feas.any():
@@ -389,6 +447,9 @@ def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
                        seed: int = 7, depth: int = 8,
                        tol: float = 1e-9) -> VerifyReport:
     require_powers(p, "check_majorization")
+    if n_weights < 1 or depth < 0:
+        raise DomainError("check_majorization needs n_weights >= 1 and depth >= 0, "
+                          f"got {n_weights} and {depth}")
     rng = np.random.default_rng(seed)
     details: list = []
     worst = -math.inf

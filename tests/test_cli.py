@@ -181,6 +181,22 @@ def test_verify_oracle_command(capsys):
     assert json.loads(out)["oracle"] == "-inf"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-oracle", "--x1", "0.75", "--x2", "1.5", "--pieces", "0"],
+    ["verify-oracle", "--x1", "0.75", "--x2", "1.5", "--pieces", "-1"],
+    ["verify-oracle", "--x1", "0.75", "--x2", "1.5", "--value-grid", "-1"],
+    ["verify-oracle", "--x1", "0.75", "--x2", "1.5", "--break-grid", "0"],
+    ["verify-majorization", "--depth", "-1"],
+    ["verify-majorization", "--n-weights", "0"],
+    ["verify-concavity", "--n-interior", "0", "--n-boundary", "0"],
+])
+def test_invalid_campaign_sizes_exit_domain(capsys, argv):
+    # A campaign that searches nothing must not report a pass.
+    code, out = run_cli(capsys, *argv, "--p1", "1", "--p2", "-1", "--q", "2")
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_verify_majorization_command(capsys):
     code, out = run_cli(capsys, "verify-majorization", "--p1", "1", "--p2", "-1",
                         "--q", "2", "--n-weights", "5", "--depth", "5")

@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from apq import (Params, Region, build, check_concavity, check_dv_signs,
-                 check_majorization, derive_constants, distribution, evaluate, oracle_max)
+from apq import (DomainError, Params, Region, apq_norm, build, check_concavity,
+                 check_dv_signs, check_majorization, derive_constants, distribution,
+                 evaluate, oracle_max, step_weight)
 from apq.params import derive_constants_from_gammas
 from apq.verify import lipschitz_slack, sample_point
 
@@ -93,6 +97,80 @@ def test_oracle_budget_guard(a2_setup):
     from apq import SolveError
     with pytest.raises(SolveError):
         oracle_max((0.75, 1.5), c, p, n_pieces=5, value_grid=4, break_grid=4)
+
+
+def _oracle_values(c, p, value_grid):
+    vals = np.exp(np.linspace(math.log(c.v_minus * c.gamma_minus),
+                              math.log(c.v_plus * c.gamma_plus), value_grid))
+    return np.unique(np.concatenate([vals, [1.0, c.v_minus, c.v_plus]]))
+
+
+def _oracle_full_product(x, c, p, n_pieces, value_grid, break_grid,
+                         moment_band=2e-3, norm_slack=1e-6):
+    """Reference oracle: the moment test on the whole value product per cut."""
+    vals = _oracle_values(c, p, value_grid)
+    v1, v2 = vals**p.p1, vals**p.p2
+    ind = (vals >= 1.0).astype(float)
+    breaks = np.arange(1, break_grid + 1) / (break_grid + 1.0)
+    combos = np.array(list(itertools.product(range(len(vals)), repeat=n_pieces)))
+    rows1, rows2 = v1[combos], v2[combos]
+    cand = []
+    for cuts in itertools.combinations(breaks, n_pieces - 1):
+        lens = np.diff(np.array([0.0, *cuts, 1.0]))
+        m1, m2 = rows1 @ lens, rows2 @ lens
+        feas = (np.abs(m1 - x[0]) <= moment_band * abs(x[0])) \
+            & (np.abs(m2 - x[1]) <= moment_band * abs(x[1]))
+        obj = ind[combos[feas]] @ lens
+        for row, ob in zip(combos[feas], obj):
+            cand.append((float(ob), tuple(cuts), tuple(vals[row])))
+    cand.sort(key=lambda t: -t[0])
+    for ob, cuts, values in cand:
+        w = step_weight(list(cuts), list(values))
+        if apq_norm(w, p, resolution=8) <= p.q * (1.0 + norm_slack):
+            return ob
+    return -math.inf
+
+
+@pytest.mark.parametrize("cls", [(1.0, -1.0, 2.0), (2.0, 1.0, 2.0), (2.0, -1.0, 2.0),
+                                 (-0.5, -2.0, 2.0), (0.5, -3.0, 20.0)])
+def test_oracle_matches_full_product(cls):
+    # The sorted search of the last piece's value finds exactly the
+    # candidates of the whole value product, so the values agree bit for bit.
+    # Random points are mostly infeasible on this grid.  The moments of random
+    # grid weights with values in [v_minus, v_plus] are feasible and often in
+    # the class; they are moved inside the moment band, mostly near its edge.
+    p, c = setup(*cls)
+    rng = np.random.default_rng(5)
+    vals, breaks = _oracle_values(c, p, 16), np.arange(1, 9) / 9.0
+    vals = vals[(vals >= c.v_minus) & (vals <= c.v_plus)]
+    pts = [sample_point(rng, c, p) for _ in range(4)]
+    for n_pieces in (1, 2, 2, 3, 3, 3):
+        cuts = np.sort(rng.choice(breaks, n_pieces - 1, replace=False))
+        lens, v = np.diff([0.0, *cuts, 1.0]), rng.choice(vals, n_pieces)
+        pts.append(tuple(float(lens @ v**k) * (1.0 + rng.choice((-1.99e-3, 1e-3, 1.99e-3)))
+                         for k in (p.p1, p.p2)))
+    for x in pts:
+        for n_pieces in (1, 2, 3):
+            assert oracle_max(x, c, p, n_pieces, 16, 8) \
+                == _oracle_full_product(x, c, p, n_pieces, 16, 8)
+    assert oracle_max(x, c, p, 4, 10, 7) == _oracle_full_product(x, c, p, 4, 10, 7)
+
+
+def test_campaign_sizes_validated(a2_setup):
+    p, c = a2_setup
+    x = (0.75, 1.5)
+    for call in (lambda: oracle_max(x, c, p, n_pieces=0),
+                 lambda: oracle_max(x, c, p, n_pieces=-1),
+                 lambda: oracle_max(x, c, p, value_grid=1),
+                 lambda: oracle_max(x, c, p, break_grid=1),
+                 lambda: check_majorization(c, p, n_weights=0),
+                 lambda: check_majorization(c, p, depth=-1),
+                 lambda: check_concavity(c, p, n_interior=0, n_boundary=0),
+                 lambda: check_concavity(c, p, n_interior=-1, n_boundary=5)):
+        with pytest.raises(DomainError):
+            call()
+    # One piece needs no cuts.
+    assert oracle_max((1.0, 1.0), c, p, n_pieces=1, break_grid=0) == 1.0
 
 
 def test_attainment_from_below(a2_setup):

@@ -114,6 +114,15 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
     inv["verify_concavity"] = ["verify-concavity", *_cls("1", "-1"),
                                "--n-interior", "50", "--n-boundary", "20"]
     inv["verify_oracle"] = ["verify-oracle", *_cls("1", "-1"), "--x1", "0.75", "--x2", "1.5"]
+    # A class whose power tables both fall; one piece at the unit-curve point
+    # U(v_plus); four pieces at 2/3 U(1) + 1/3 U(v_minus), where B = 2/3.
+    inv["verify_oracle_-0.5_-2_III"] = ["verify-oracle", *_cls("-0.5", "-2"),
+                                        *_at(POINTS[("-0.5", "-2")]["III"])]
+    inv["verify_oracle_pieces_1"] = ["verify-oracle", *_cls("1", "-1"), "--pieces", "1",
+                                     *_at((5.82842712474619, 0.1715728752538099))]
+    inv["verify_oracle_pieces_4"] = ["verify-oracle", *_cls("1", "-1"), "--pieces", "4",
+                                     "--value-grid", "12", "--break-grid", "8",
+                                     *_at((0.7238576250846033, 2.60947570824873))]
     inv["verify_oracle_found"] = ["verify-oracle", *_cls("1", "-1", FOUND_Q),
                                   "--x1", FOUND_X[0], "--x2", FOUND_X[1]]
     inv["verify_majorization"] = ["verify-majorization", *_cls("1", "-1"),
