@@ -6,14 +6,14 @@ For a weight with <w> * <1/w> = Q the layer-cake identity
 
 combines with F_w(s) <= B(x1/s, x2*s) to give <w**(1+alpha)> <= C * <w>**(1+alpha).
 Moving along s at fixed product x1*x2 = Q keeps the argument on the extreme
-curve, where the surface splits into three exact ranges:
+curve; s = x1*t scales the integral to the point (1, Q), so C does not depend
+on x.  There the surface splits into three exact ranges, each in closed form:
 
-* s <= x1/gamma_plus: the argument is in region I, integrand s**alpha;
-* x1/gamma_plus <= s <= x1/gamma_minus: region II, adaptive quadrature;
-* s >= x1/gamma_minus: region IV, where the surface obeys the power envelope
-  B <= C(Q) * (x2*s)**(-kappa) with kappa = Q/sqrt(Q**2-Q), an identity (not
-  just a bound) on the extreme curve.  The tail integral is closed form and
-  finite exactly when alpha < kappa - 1 = sqrt(Q/(Q-1)) - 1 = alpha0(Q).
+* t <= 1/gamma_plus: region I, integrand t**alpha;
+* 1/gamma_plus <= t <= 1/gamma_minus: region II, the sheet a2/t + b2*Q*t + c2;
+* t >= 1/gamma_minus: region IV, where B = C(Q) * (Q*t)**(-kappa) with
+  kappa = Q/sqrt(Q**2-Q), so the tail is finite exactly when
+  alpha < kappa - 1 = sqrt(Q/(Q-1)) - 1 = alpha0(Q).
 
 The threshold is attained: the pure power profile t**(-nu) has its
 (1+alpha)-moment diverge exactly at alpha0, since 1/nu - 1 = alpha0.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bellman import evaluate_a2
+from .bellman import _a2_setup
 from .errors import DomainError, NonIntegrableError
 from .geometry import Point
 from .params import Params, derive_constants
@@ -55,103 +55,112 @@ class RHCheck:
                 "diverged": self.diverged}
 
 
-def alpha0(q: float) -> float:
-    """Critical extra-integrability exponent sqrt(Q/(Q-1)) - 1."""
+def _check(q: float, alpha: float = 1.0, s_max: float = 0.0, x: Point | None = None) -> float:
+    """x1 of the point x (1 when x is None), after a DomainError unless Q > 1 is
+    finite, alpha > 0, s_max >= 0 and x is a positive point of x1*x2 = Q."""
     if not (math.isfinite(q) and q > 1.0):
         raise DomainError(f"need Q > 1, got {q}")
+    if not alpha > 0.0:
+        raise DomainError(f"need alpha > 0, got {alpha}")
+    if not s_max >= 0.0:
+        raise DomainError(f"need s_max >= 0, got {s_max}")
+    if x is None:
+        return 1.0
+    x1, x2 = x
+    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf) or abs(x1 * x2 - q) > 1e-9 * q:
+        raise DomainError(f"x={x} must be a positive point of the extreme curve x1*x2 = {q}")
+    return x1
+
+
+def alpha0(q: float) -> float:
+    """Critical extra-integrability exponent sqrt(Q/(Q-1)) - 1."""
+    _check(q)
     return math.sqrt(q / (q - 1.0)) - 1.0
 
 
 def _kappa(q: float) -> float:
-    return q / math.sqrt(q * q - q)
+    return q / math.sqrt(q * (q - 1.0))
 
 
 def tail_envelope_constant(q: float) -> float:
     """C(Q) with B <= C(Q)*x2**(-kappa) on the extreme curve (an equality there)."""
-    d = math.sqrt(q * q - q)
-    gp = q + d
-    vm = (q - d) / gp
-    m = 2.0 * vm / (1.0 - vm)
-    return gp**m * d / (1.0 - vm)
+    _check(q)
+    _, c = _a2_setup(q)
+    m = 2.0 * c.v_minus / (1.0 - c.v_minus)
+    return c.gamma_plus**m * math.sqrt(q * (q - 1.0)) / (1.0 - c.v_minus)
 
 
-def _require_extreme_point(q: float, x: Point) -> None:
-    if abs(x[0] * x[1] - q) > 1e-9 * q:
-        raise DomainError(f"x={x} must sit on the extreme curve x1*x2 = {q}")
+def _power_integral(coef: float, a: float, b: float, k: float) -> float:
+    """coef * integral_a^b s**(k-1) ds for 0 < a <= b <= inf, as coef * a**k *
+    expm1(k*log(b/a))/k so that it keeps its digits as k -> 0 (log(b/a) at 0)."""
+    r = math.log(b / a)
+    return coef * a**k * (r if k == 0.0 else math.expm1(k * r) / k)
 
 
-def _head_and_middle(q: float, alpha: float, x: Point) -> float:
-    """(1+alpha) * integral over [0, x1/gamma_minus] of s**alpha * B."""
-    from scipy.integrate import quad  # deferred: importing scipy.integrate dominates `import apq`
+def _tail(q: float, alpha: float, sigma: float) -> float:
+    """(1+alpha) * integral_{1/gamma_minus}^sigma t**alpha * B(1/t, Q*t) dt, the
+    region-IV piece at (1, Q), where B = C(Q)*(Q*t)**(-kappa)."""
+    s0 = 1.0 / _a2_setup(q)[1].gamma_minus
+    if sigma <= s0:
+        return 0.0
+    kappa = _kappa(q)
+    coef = (1.0 + alpha) * tail_envelope_constant(q) * q ** (-kappa)
+    return _power_integral(coef, s0, sigma, alpha + 1.0 - kappa)
 
-    x1, x2 = x
-    d = math.sqrt(q * q - q)
-    gm, gp = q - d, q + d
-    s_lo, s_hi = x1 / gp, x1 / gm
-    head = s_lo ** (1.0 + alpha)  # region-I part, closed form
-    mid, _ = quad(lambda s: (1.0 + alpha) * s**alpha * evaluate_a2((x1 / s, x2 * s), q).value,
-                  s_lo, s_hi, epsabs=1e-10, epsrel=1e-10, limit=400)
-    return head + mid
+
+def _sheet_dip(alpha: float, span: float) -> float:
+    """integral_0^span e**(alpha*u) * (e**u - 1)**2 du: the Taylor terms, second
+    differences of k**n at alpha, come from recurrences of positive terms only."""
+    w = span**3 / 6.0  # span**(n+1)/(n+1)! at n = 2
+    e, f, g = alpha * alpha * w, (2.0 * alpha + 1.0) * w, 2.0 * w
+    total, n = g, 2
+    while g > 1e-17 * total:
+        r = span / (n + 2)
+        e, f, g = alpha * e * r, ((alpha + 1.0) * f + e) * r, ((alpha + 2.0) * g + 2.0 * f) * r
+        total += g
+        n += 1
+    return total
+
+
+def _layer_cake(q: float, alpha: float, sigma: float) -> float:
+    """(1+alpha) * integral_0^sigma t**alpha * B(1/t, Q*t) dt in closed form, region
+    by region, with the doubles evaluate_a2 uses."""
+    _, c = _a2_setup(q)
+    lo, hi = 1.0 / c.gamma_plus, 1.0 / c.gamma_minus
+    k = 1.0 + alpha
+    if sigma <= lo:
+        return sigma**k
+    b = min(sigma, hi)
+    span = math.log(b / lo)
+    if span >= 1.0:
+        total = lo**k + (_power_integral(k * c.a2, lo, b, alpha)
+                         + _power_integral(k * c.b2 * q, lo, b, alpha + 2.0)
+                         + _power_integral(k * c.c2, lo, b, alpha + 1.0))
+    else:
+        # These terms cancel to O(span**2) as Q -> 1.  On the curve the sheet is
+        # 1 + b2*gamma_minus*(tau - 1)**2/tau, tau = t/lo (a2 = v_minus*b2,
+        # c2 = 1 - a2 - b2, gamma_minus*gamma_plus = Q, gamma_minus + gamma_plus = 2Q).
+        total = b**k + k * c.b2 * c.gamma_minus * lo**k * _sheet_dip(alpha, span)
+    return total + _tail(q, alpha, sigma)
 
 
 def rh_constant(q: float, alpha: float, x: Point | None = None) -> RHResult:
-    """The constant in <w**(1+alpha)> <= C * <w>**(1+alpha) at an extreme point.
-
-    converged=False (with infinite constant) when the tail exponent makes the
-    layer-cake integral diverge, i.e. alpha >= alpha0(Q).
-    """
-    if not alpha > 0.0:
-        raise DomainError(f"need alpha > 0, got {alpha}")
-    if x is None:
-        x = (1.0, q)
-    _require_extreme_point(q, x)
+    """The constant in <w**(1+alpha)> <= C * <w>**(1+alpha), the same at every
+    point x of the extreme curve (a given x is only checked).  converged=False
+    (with infinite constant) when the tail diverges, i.e. alpha >= alpha0(Q)."""
+    _check(q, alpha, x=x)
     a0 = alpha0(q)
-    kappa = _kappa(q)
-    if alpha - kappa >= -1.0:
+    if alpha - _kappa(q) >= -1.0:
         return RHResult(alpha=alpha, alpha0=a0, constant=math.inf, converged=False)
-    x1, x2 = x
-    d = math.sqrt(q * q - q)
-    s0 = x1 / (q - d)
-    total = _head_and_middle(q, alpha, x)
-    total += (1.0 + alpha) * tail_envelope_constant(q) * x2 ** (-kappa) \
-        * s0 ** (alpha + 1.0 - kappa) / (kappa - alpha - 1.0)
-    return RHResult(alpha=alpha, alpha0=a0, constant=total / x1 ** (1.0 + alpha),
+    return RHResult(alpha=alpha, alpha0=a0, constant=_layer_cake(q, alpha, math.inf),
                     converged=True)
 
 
 def truncated_integral(q: float, alpha: float, s_max: float, x: Point | None = None) -> float:
-    """(1+alpha) * integral_0^{s_max} s**alpha * B(x1/s, x2*s) ds.
-
-    Divergence evidence: above alpha0 this keeps growing with s_max instead of
-    saturating.  The tail part uses the extreme-curve power envelope.
-    """
-    if not alpha > 0.0:
-        raise DomainError(f"need alpha > 0, got {alpha}")
-    if x is None:
-        x = (1.0, q)
-    _require_extreme_point(q, x)
-    x1, x2 = x
-    d = math.sqrt(q * q - q)
-    gm, gp = q - d, q + d
-    if s_max <= x1 / gp:
-        return s_max ** (1.0 + alpha)
-    if s_max <= x1 / gm:
-        from scipy.integrate import quad
-
-        head = (x1 / gp) ** (1.0 + alpha)
-        mid, _ = quad(lambda s: (1.0 + alpha) * s**alpha * evaluate_a2((x1 / s, x2 * s), q).value,
-                      x1 / gp, s_max, epsabs=1e-10, epsrel=1e-10, limit=400)
-        return head + mid
-    total = _head_and_middle(q, alpha, x)
-    kappa = _kappa(q)
-    s0 = x1 / gm
-    delta = alpha + 1.0 - kappa
-    coef = (1.0 + alpha) * tail_envelope_constant(q) * x2 ** (-kappa)
-    if abs(delta) < 1e-14:
-        total += coef * math.log(s_max / s0)
-    else:
-        total += coef * (s_max**delta - s0**delta) / delta
-    return total
+    """(1+alpha) * integral_0^{s_max} s**alpha * B(x1/s, x2*s) ds; divergence
+    evidence: above alpha0 it keeps growing with s_max instead of saturating."""
+    x1 = _check(q, alpha, s_max, x)
+    return x1 ** (1.0 + alpha) * _layer_cake(q, alpha, s_max / x1)
 
 
 def tail_integral(q: float, alpha: float, s_max: float, x: Point | None = None) -> float:
@@ -162,20 +171,8 @@ def tail_integral(q: float, alpha: float, s_max: float, x: Point | None = None) 
     than) doubling per two decades of s_max, while below the critical
     exponent it saturates.
     """
-    if x is None:
-        x = (1.0, q)
-    _require_extreme_point(q, x)
-    x1, x2 = x
-    d = math.sqrt(q * q - q)
-    s0 = x1 / (q - d)
-    if s_max <= s0:
-        return 0.0
-    kappa = _kappa(q)
-    delta = alpha + 1.0 - kappa
-    coef = (1.0 + alpha) * tail_envelope_constant(q) * x2 ** (-kappa)
-    if abs(delta) < 1e-14:
-        return coef * math.log(s_max / s0)
-    return coef * (s_max**delta - s0**delta) / delta
+    x1 = _check(q, alpha, s_max, x)
+    return x1 ** (1.0 + alpha) * _tail(q, alpha, s_max / x1)
 
 
 def moment_divergence_alpha(w: Weight) -> float:
@@ -212,13 +209,10 @@ def rh_check(w: Weight, alpha: float, p: Params) -> RHCheck:
     """
     if (p.p1, p.p2) != (1.0, -1.0):
         raise DomainError("the self-improvement check applies to exponents (1, -1)")
-    if not alpha > 0.0:
-        raise DomainError(f"need alpha > 0, got {alpha}")
-    x1 = moment(w, 1.0)
-    rhs = rh_constant(p.q, alpha, (x1, p.q / x1))
+    rhs = rh_constant(p.q, alpha)
     if not rhs.converged:
         return RHCheck(lhs=math.inf, rhs=math.inf, passed=False, diverged=True)
-    rhs_value = rhs.constant * x1 ** (1.0 + alpha)
+    rhs_value = rhs.constant * moment(w, 1.0) ** (1.0 + alpha)
     if moment_divergence_alpha(w) <= alpha:
         return RHCheck(lhs=math.inf, rhs=rhs_value, passed=False, diverged=True)
     try:

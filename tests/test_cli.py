@@ -158,6 +158,23 @@ def test_rh_command(capsys):
     assert doc["converged"] is False and doc["constant"] == "inf"
 
 
+def test_rh_command_off_curve_points_exit_domain(capsys):
+    # x1*x2 = Q holds, but the point is not a pair of positive moments.
+    code, out = run_cli(capsys, "rh", "--p1", "1", "--p2", "-1", "--q", "2",
+                        "--alpha", "0.2", "--x1", "-1", "--x2", "-2")
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_rh_command_constant_does_not_depend_on_point(capsys):
+    rh = ("rh", "--p1", "1", "--p2", "-1", "--q", "2", "--alpha", "0.2")
+    _, default = run_cli(capsys, *rh)
+    for x1, x2 in (("1e-300", "2e300"), ("0.08", "25")):
+        code, out = run_cli(capsys, *rh, "--x1", x1, "--x2", x2)
+        assert code == 0
+        assert out == default
+
+
 def test_verify_concavity_command(capsys):
     code, out = run_cli(capsys, "verify-concavity", "--p1", "1", "--p2", "-1",
                         "--q", "2", "--n-interior", "15", "--n-boundary", "10")

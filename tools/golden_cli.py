@@ -128,6 +128,13 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
     inv["verify_majorization"] = ["verify-majorization", *_cls("1", "-1"),
                                   "--n-weights", "60"]
     inv["rh"] = ["rh", *_cls("1", "-1"), "--alpha", "0.2"]
+    for q in ("1.05", "20"):
+        alpha = 0.9 * (math.sqrt(float(q) / (float(q) - 1.0)) - 1.0)
+        inv[f"rh_{q}"] = ["rh", *_cls("1", "-1", q), "--alpha", repr(alpha)]
+    # Points of x1*x2 = 2: off the default, negative, and at the scale limit.
+    for tag, x in (("point", ("0.08", "25")), ("negative", ("-1", "-2")),
+                   ("tiny", ("1e-300", "2e300"))):
+        inv[f"rh_{tag}"] = ["rh", *_cls("1", "-1"), "--alpha", "0.2", "--x1", x[0], "--x2", x[1]]
     inv["norm_found"] = ["norm", *_cls("1", "-1", FOUND_Q), "--weight", weight_path]
     return inv
 
