@@ -19,8 +19,11 @@ Per region (threshold 1):
         extended by the constant v, which equals the level-v floor (pointwise
         max) of the dilated profile with its power tail continued to 1.
 
-Every construction verifies its own moments before returning, and every
-region-I chord passes the exact segment test geometry.segment_in_domain.
+decompose is the one split of a point into unit-curve steps (regions I-III
+and the unit curve); build lays those steps out on [0, 1], and the dyadic
+majorization campaign closes its leaves with them.  Every construction
+verifies its own moments before returning, and every region-I chord passes
+the exact segment test geometry.segment_in_domain.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 from ._roots import expand, solve
 from .errors import DomainError, SolveError
-from .geometry import (Point, Region, classify, gamma1_point, in_domain, on_gamma1,
-                       on_gammaq, segment_in_domain)
+from .geometry import (Point, Region, gamma1_point, in_domain, on_gamma1, on_gammaq,
+                       region_of, segment_in_domain)
 from .implicit_v import solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params, require_powers
 from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
@@ -44,20 +47,6 @@ class ExtremalPlan:
 
     def as_dict(self) -> dict:
         return {"region": self.region.value, **self.data}
-
-
-@dataclass(frozen=True)
-class Region2Segment:
-    """Exact three-step decomposition of a region-II point: lengths are the
-    (v_minus, unit, v_plus) piece lengths.  Along the segment through x
-    parallel to the chord U(v_minus)U(v_plus), x = lam*x_plus +
-    (1 - lam)*x_minus with both endpoints on the tangent lines from (1, 1),
-    each with unit-curve mixing weight mu_minus = mu_plus = lengths[1]."""
-
-    lam: float
-    mu_minus: float
-    mu_plus: float
-    lengths: tuple[float, float, float]
 
 
 def _crossing_above_one(ratio: float, p: Params) -> float | None:
@@ -136,16 +125,16 @@ def region1_chord(x: Point, c: DerivedConstants, p: Params) -> tuple[float, floa
     raise SolveError(f"no feasible unit-curve chord found through {x} in region I")
 
 
-def region2_segment(x: Point, c: DerivedConstants, p: Params) -> Region2Segment:
-    """Three-step decomposition of a region-II point on (v_minus, 1, v_plus).
+def region2_segment(x: Point, c: DerivedConstants,
+                    p: Params) -> tuple[float, float, float]:
+    """Lengths (l1, l2, l3) of a region-II point's three steps on
+    (v_minus, 1, v_plus).
 
     The lengths are x's barycentric coordinates in the triangle U(v_minus),
     U(1), U(v_plus), whose edges through U(1) = (1, 1) are the two tangent
     lines: one 2x2 solve in offsets from (1, 1), with the anchor offsets
-    v**p - 1 = expm1(p*log v) formed without cancellation.  The plan reads
-    them along the segment through x parallel to the chord U(v_minus)U(v_plus),
-    on which the unit-piece length is constant.  Raises SolveError when the
-    lengths miss the moments of x.
+    v**p - 1 = expm1(p*log v) formed without cancellation.  Raises SolveError
+    when the lengths miss the moments of x.
     """
     lv_m, lv_p = math.log(c.v_minus), math.log(c.v_plus)
     a1, a2 = math.expm1(p.p1 * lv_m), math.expm1(p.p2 * lv_m)
@@ -160,8 +149,37 @@ def region2_segment(x: Point, c: DerivedConstants, p: Params) -> Region2Segment:
         got = l1 * c.v_minus**pk + l2 + l3 * c.v_plus**pk
         if abs(got - xk) > 1e-9 * abs(xk):
             raise SolveError(f"region-II lengths miss moment p={pk} at {x}: {got} vs {xk}")
-    lam = l3 / (l1 + l3) if l1 + l3 > 0.0 else 0.0
-    return Region2Segment(lam=lam, mu_minus=l2, mu_plus=l2, lengths=(l1, l2, l3))
+    return l1, l2, l3
+
+
+def decompose(x: Point, c: DerivedConstants,
+              p: Params) -> tuple[Region, list[tuple[float, float]]]:
+    """x's region and its split into unit-curve steps [(length, value)].
+
+    On the unit curve one step; in region I region1_chord's (mu, u),
+    (1 - mu, v); in region II region2_segment's lengths on (v_minus, 1,
+    v_plus), in that order; in region III solve_v_III's chord through U(1),
+    (mu, 1), (1 - mu, v).  Region IV gets no steps: its extremal weight has a
+    power tail.  Raises DomainError outside the domain.
+    """
+    require_powers(p, "decompose")
+    if not in_domain(x, p):
+        raise DomainError(f"point {x} outside the moment domain")
+    if on_gamma1(x, p):
+        return Region.GAMMA1, [(1.0, math.exp(math.log(x[0]) / p.p1))]
+    region = region_of(x, c, p)
+    if region == Region.I:
+        u, v, mu = region1_chord(x, c, p)
+        return region, [(mu, u), (1.0 - mu, v)]
+    if region == Region.II:
+        l1, l2, l3 = region2_segment(x, c, p)
+        return region, [(l1, c.v_minus), (l2, 1.0), (l3, c.v_plus)]
+    if region == Region.III:
+        v = solve_v_III(x, p)
+        mu = (x[0] - v**p.p1) / (-math.expm1(p.p1 * math.log(v)))
+        mu = min(max(mu, 0.0), 1.0)
+        return region, [(mu, 1.0), (1.0 - mu, v)]
+    return region, []
 
 
 def _tangent_mix(x: Point, c: DerivedConstants, p: Params) -> tuple[float, float]:
@@ -200,70 +218,41 @@ def _boundary_iv_pieces(v: float, c: DerivedConstants, p: Params,
 def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPlan]:
     """A class weight with moments x whose super-level set at 1 has measure B(x)."""
     require_powers(p, "build")
-    if not in_domain(x, p):
-        raise DomainError(f"point {x} outside the moment domain")
+    region, steps = decompose(x, c, p)
 
-    if on_gamma1(x, p):
-        v = math.exp(math.log(x[0]) / p.p1)
-        w = Weight((ConstPiece(0.0, 1.0, v),))
-        plan = ExtremalPlan(Region.GAMMA1, {"v": v})
-        return _verified(w, plan, x, p)
-
-    region = classify(x, c, p)
-
-    if region == Region.I:
-        u, v, mu = region1_chord(x, c, p)
-        pieces: list[Piece] = []
-        if mu > 0.0:
-            pieces.append(ConstPiece(0.0, mu, u))
-        if mu < 1.0:
-            pieces.append(ConstPiece(mu, 1.0, v))
-        plan = ExtremalPlan(Region.I, {"u": u, "v": v, "mu": mu})
+    if region == Region.IV:
+        v, lam = _tangent_mix(x, c, p)
+        if lam <= 0.0:
+            raise SolveError(f"degenerate tangent mixing weight at {x}")
+        pieces = _boundary_iv_pieces(v, c, p, lam, lam)
+        if lam < 1.0:
+            pieces.append(ConstPiece(lam, 1.0, v))
+        a = math.exp(math.log(v / c.v_minus) / c.nu)
+        plan = ExtremalPlan(Region.IV, {"v": v, "nu": c.nu, "a": a, "lambda_glue": lam})
         return _verified(Weight(tuple(pieces)), plan, x, p)
 
-    if region == Region.II:
-        seg = region2_segment(x, c, p)
-        l1, l2, l3 = seg.lengths
+    if region == Region.GAMMA1:
+        data = {"v": steps[0][1]}
+    elif region == Region.I:
+        data = {"u": steps[0][1], "v": steps[1][1], "mu": steps[0][0]}
+    elif region == Region.III:
+        data = {"v": steps[1][1], "mu": steps[0][0]}
+    else:
+        (l1, _), (l2, _), (l3, _) = steps
+        data = {"lam": l3 / (l1 + l3) if l1 + l3 > 0.0 else 0.0, "mu_minus": l2, "mu_plus": l2}
         # Only the piece at t = 0 keeps its exact length (the others are
         # differences of floats near 1), so the anchor with the larger power
         # goes there; the mirrored weight has the same norm and distribution.
-        first, head, last = c.v_minus, l1, c.v_plus
         if p.p1 * math.log(c.v_plus) > p.p2 * math.log(c.v_minus):
-            first, head, last = c.v_plus, l3, c.v_minus
-        b1, b2 = head, min(head + l2, 1.0)
-        pieces = []
-        if b1 > 0.0:
-            pieces.append(ConstPiece(0.0, b1, first))
-        if b2 > b1:
-            pieces.append(ConstPiece(b1, b2, 1.0))
-        if 1.0 > b2:
-            pieces.append(ConstPiece(b2, 1.0, last))
-        plan = ExtremalPlan(Region.II, {"lam": seg.lam, "mu_minus": seg.mu_minus,
-                                        "mu_plus": seg.mu_plus})
-        return _verified(Weight(tuple(pieces)), plan, x, p)
-
-    if region == Region.III:
-        v = solve_v_III(x, p)
-        mu = (x[0] - v**p.p1) / (-math.expm1(p.p1 * math.log(v)))
-        mu = min(max(mu, 0.0), 1.0)
-        pieces = []
-        if mu > 0.0:
-            pieces.append(ConstPiece(0.0, mu, 1.0))
-        if mu < 1.0:
-            pieces.append(ConstPiece(mu, 1.0, v))
-        plan = ExtremalPlan(Region.III, {"v": v, "mu": mu})
-        return _verified(Weight(tuple(pieces)), plan, x, p)
-
-    # Region IV
-    v, lam = _tangent_mix(x, c, p)
-    if lam <= 0.0:
-        raise SolveError(f"degenerate tangent mixing weight at {x}")
-    pieces = _boundary_iv_pieces(v, c, p, lam, lam)
-    if lam < 1.0:
-        pieces.append(ConstPiece(lam, 1.0, v))
-    a = math.exp(math.log(v / c.v_minus) / c.nu)
-    plan = ExtremalPlan(Region.IV, {"v": v, "nu": c.nu, "a": a, "lambda_glue": lam})
-    return _verified(Weight(tuple(pieces)), plan, x, p)
+            steps = steps[::-1]
+    pieces = []
+    lo = 0.0
+    for k, (length, value) in enumerate(steps):
+        hi = 1.0 if k == len(steps) - 1 else min(lo + length, 1.0)
+        if hi > lo:
+            pieces.append(ConstPiece(lo, hi, value))
+        lo = hi
+    return _verified(Weight(tuple(pieces)), ExtremalPlan(region, data), x, p)
 
 
 def extended_iv_weight(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, float]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from ._roots import expand, solve
 from .errors import DomainError, SolveError
 from .geometry import Point, Region, classify, in_domain
-from .params import DerivedConstants, Params, derive_constants
+from .params import DerivedConstants, Params
 
 
 @dataclass(frozen=True)
@@ -178,35 +178,28 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
     return v
 
 
-def solve_v(x: Point, region: Region, p: Params, c: DerivedConstants | None = None) -> float:
+def solve_v(x: Point, region: Region, p: Params, c: DerivedConstants) -> float:
     if region == Region.III:
         return solve_v_III(x, p)
     if region == Region.IV:
-        if c is None:
-            c = derive_constants(p)
         return solve_v_IV(x, c, p)
     raise DomainError(f"no implicit parameter in region {region}")
 
 
 def diagnostics(x: Point, region: Region, p: Params,
-                c: DerivedConstants | None = None) -> GradientDiagnostics:
-    if c is None:
-        c = derive_constants(p)
+                c: DerivedConstants) -> GradientDiagnostics:
     v = solve_v(x, region, p, c)
     upsilon = _chord_slope_log(v, x, p)
     pi = -_tangent_slope(v, x, c, p) / (p.k2 * v**p.p2)
     return GradientDiagnostics(upsilon=upsilon, pi=pi)
 
 
-def dv_sign_check(x: Point, region: Region, p: Params,
-                  c: DerivedConstants | None = None) -> bool:
+def dv_sign_check(x: Point, region: Region, p: Params, c: DerivedConstants) -> bool:
     """Finite-difference check of the signs of dv/dx1 (and dv/dx2 in IV).
 
     Expected: sig(dv/dx1) = -sig(p1) in both regions, sig(dv/dx2) = sig(p2)
     in region IV.  The step shrinks once if it crosses a region boundary.
     """
-    if c is None:
-        c = derive_constants(p)
     if region not in (Region.III, Region.IV):
         raise DomainError(f"sign check applies to regions III and IV, not {region}")
     if classify(x, c, p) != region:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .bellman import _a2_setup
-from .errors import DomainError, NonIntegrableError
+from .errors import DomainError, NonIntegrableError, SolveError
 from .geometry import Point
 from .params import Params, derive_constants
 from .weights import PowerPiece, Weight, moment
@@ -156,11 +156,21 @@ def rh_constant(q: float, alpha: float, x: Point | None = None) -> RHResult:
                     converged=True)
 
 
+def _at_point(part, q: float, alpha: float, s_max: float, x: Point | None) -> float:
+    """x1**(1+alpha) * part(q, alpha, s_max/x1): the integral at the point x,
+    which s = x1*t scales to (1, Q).  SolveError when a power overflows."""
+    x1 = _check(q, alpha, s_max, x)
+    try:
+        return x1 ** (1.0 + alpha) * part(q, alpha, s_max / x1)
+    except OverflowError:
+        raise SolveError(f"the layer-cake integral at x1 = {x1}, alpha = {alpha}, "
+                         f"s_max = {s_max} leaves double precision") from None
+
+
 def truncated_integral(q: float, alpha: float, s_max: float, x: Point | None = None) -> float:
     """(1+alpha) * integral_0^{s_max} s**alpha * B(x1/s, x2*s) ds; divergence
     evidence: above alpha0 it keeps growing with s_max instead of saturating."""
-    x1 = _check(q, alpha, s_max, x)
-    return x1 ** (1.0 + alpha) * _layer_cake(q, alpha, s_max / x1)
+    return _at_point(_layer_cake, q, alpha, s_max, x)
 
 
 def tail_integral(q: float, alpha: float, s_max: float, x: Point | None = None) -> float:
@@ -171,8 +181,7 @@ def tail_integral(q: float, alpha: float, s_max: float, x: Point | None = None) 
     than) doubling per two decades of s_max, while below the critical
     exponent it saturates.
     """
-    x1 = _check(q, alpha, s_max, x)
-    return x1 ** (1.0 + alpha) * _tail(q, alpha, s_max / x1)
+    return _at_point(_tail, q, alpha, s_max, x)
 
 
 def moment_divergence_alpha(w: Weight) -> float:

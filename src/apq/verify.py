@@ -13,9 +13,10 @@ normalized excess over the stated tolerances is <= 0):
   piece's value is found by binary search in the monotone power tables, so
   it costs C(break_grid, n-1) * V**(n-1) * log V for n pieces on V values.
 * check_majorization: random dyadic splitting trees whose chords stay inside
-  the domain, closed at the leaves with exact unit-curve decompositions; every
-  generated step weight must satisfy |{w >= 1}| <= B(moments(w)) and every
-  recorded split the chord inequality.
+  the domain, closed at the leaves with exact unit-curve decompositions
+  (extremal.decompose, plus a tangent split in region IV); every generated
+  step weight must satisfy |{w >= 1}| <= B(moments(w)) and every recorded
+  split the chord inequality.
 * check_dv_signs: the monotonicity diagnostics of the implicit parameter.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .bellman import evaluate
 from .errors import DomainError, SolveError
-from .extremal import region1_chord, region2_segment
+from .extremal import decompose
 from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
                        segment_in_domain, tangent_slope)
 from .implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
@@ -385,7 +386,7 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
     cand.sort(key=lambda t: -t[0])
     for ob, cuts, values in cand:
         w = step_weight(list(cuts), list(values))
-        if apq_norm(w, p, resolution=8) <= p.q * (1.0 + norm_slack):
+        if apq_norm(w, p) <= p.q * (1.0 + norm_slack):
             return ob
     return -math.inf
 
@@ -397,38 +398,28 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
 def _leaf_values(x: Point, c: DerivedConstants, p: Params) -> list[tuple[float, float]]:
     """Exact decomposition of x into unit-curve values: [(fraction, value)].
 
-    Region II takes its barycentric lengths on (v_minus, 1, v_plus); region
-    IV rides its tangent line out to the second unit-curve crossing at
-    v/v_minus.
+    decompose's steps, except in region IV, whose extremal weight has a power
+    tail: there x rides its tangent line out to the second unit-curve crossing
+    at v/v_minus.
     """
-    r = math.exp(math.log(x[0]) / p.p1)
-    if abs(x[1] - r**p.p2) <= 1e-11 * max(1.0, abs(x[1])):
-        return [(1.0, r)]
-    region = classify(x, c, p)
-    if region == Region.III:
-        v = solve_v_III(x, p)
-        mu = (x[0] - v**p.p1) / (-math.expm1(p.p1 * math.log(v)))
-        mu = min(max(mu, 0.0), 1.0)
-        return [(mu, 1.0), (1.0 - mu, v)]
-    if region == Region.IV:
-        v = solve_v_IV(x, c, p)
-        v2 = v / c.v_minus
-        lo, hi = v**p.p1, v2**p.p1
-        th = (x[0] - lo) / (hi - lo)
-        th = min(max(th, 0.0), 1.0)
-        return [(th, v2), (1.0 - th, v)]
-    if region == Region.II:
-        seg = region2_segment(x, c, p)
-        l1, l2, l3 = seg.lengths
-        return [(l1, c.v_minus), (l2, 1.0), (l3, c.v_plus)]
-    # Region I: a feasible chord with both values >= 1.
-    u, v, mu = region1_chord(x, c, p)
-    return [(mu, u), (1.0 - mu, v)]
+    region, steps = decompose(x, c, p)
+    if region != Region.IV:
+        return steps
+    v = solve_v_IV(x, c, p)
+    v2 = v / c.v_minus
+    lo, hi = v**p.p1, v2**p.p1
+    th = (x[0] - lo) / (hi - lo)
+    th = min(max(th, 0.0), 1.0)
+    return [(th, v2), (1.0 - th, v)]
 
 
 def _random_split(x: Point, p: Params, rng: np.random.Generator):
     """Random chord split x = alpha*xm + (1-alpha)*xp with the segment in the
-    domain; the half-length shrinks on rejection, degenerating gracefully."""
+    domain; the half-length shrinks on rejection, degenerating gracefully.
+
+    The segment gets no slack past the domain: as Q -> 1 in_domain's slack is
+    a visible share of the domain's width, and no unit-curve chord passes
+    through a leaf beyond the extreme curve."""
     scale = 0.25 * min(1.0, abs(x[0]), abs(x[1]))
     for _ in range(60):
         alpha = rng.uniform(0.2, 0.8)
@@ -437,7 +428,7 @@ def _random_split(x: Point, p: Params, rng: np.random.Generator):
         t = scale * rng.uniform(0.2, 1.0)
         xm = (x[0] - (1.0 - alpha) * t * d[0], x[1] - (1.0 - alpha) * t * d[1])
         xp = (x[0] + alpha * t * d[0], x[1] + alpha * t * d[1])
-        if segment_in_domain(xm, xp, p):
+        if segment_in_domain(xm, xp, p, 0.0):
             return alpha, xm, xp
         scale *= 0.5
     return None

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from apq import (Region, apq_norm, build, classify, cutoff_above, distribution,
-                 evaluate, moment)
-from apq.extremal import extended_iv_weight, region1_chord, region2_segment
+from apq import (DomainError, Region, apq_norm, build, classify, cutoff_above,
+                 distribution, evaluate, moment)
+from apq.extremal import decompose, extended_iv_weight, region1_chord, region2_segment
 from apq.geometry import gamma1_point, segment_log_ratio_range
 from apq.weights import PowerPiece
 
@@ -68,6 +68,26 @@ def test_degenerate_inputs(a2_setup):
     w, plan = build(gamma1(0.6, p), c, p)
     assert len(w.pieces) == 1 and abs(w.pieces[0].value - 0.6) <= 1e-12
     assert plan.region == Region.GAMMA1
+
+
+def test_decompose_steps_hit_moments():
+    # The one split into unit-curve steps: in regions I-III and on the unit
+    # curve the lengths sum to 1 and hit both moments; region IV has none.
+    rng = np.random.default_rng(11)
+    for p1, p2 in CASES:
+        p, c = setup(p1, p2)
+        for region in (Region.I, Region.II, Region.III):
+            for x in random_in_region(rng, c, p, region, 5):
+                got, steps = decompose(x, c, p)
+                assert got == region
+                assert sum(length for length, _ in steps) == pytest.approx(1.0, abs=1e-12)
+                for k, xk in ((p1, x[0]), (p2, x[1])):
+                    assert abs(sum(length * v**k for length, v in steps) - xk) <= 1e-9 * abs(xk)
+        assert decompose(random_in_region(rng, c, p, Region.IV, 1)[0], c, p) == (Region.IV, [])
+        region, steps = decompose(gamma1(0.6, p), c, p)
+        assert region == Region.GAMMA1 and steps == [(1.0, pytest.approx(0.6, rel=1e-12))]
+        with pytest.raises(DomainError):
+            decompose((1.0, 0.25**p2), c, p)  # log_ratio = log 4 > log Q
 
 
 def test_iv_moment_identities():
@@ -155,9 +175,9 @@ def test_region_ii_lengths_solve_moment_system():
             m = np.array([[1.0, 1.0, 1.0], [a**p1 for a in anchors], [a**p2 for a in anchors]])
             for x in random_in_region(rng, c, p, Region.II, 10):
                 want = np.linalg.solve(m, [1.0, x[0], x[1]])
-                seg = region2_segment(x, c, p)
-                assert np.allclose(seg.lengths, want, rtol=0.0, atol=1e-12)
-                assert seg.lam + (1.0 - seg.lam) * seg.mu_minus == pytest.approx(
+                assert np.allclose(region2_segment(x, c, p), want, rtol=0.0, atol=1e-12)
+                plan = build(x, c, p)[1].data
+                assert plan["lam"] + (1.0 - plan["lam"]) * plan["mu_minus"] == pytest.approx(
                     evaluate(x, c, p).value, abs=1e-12)
 
 

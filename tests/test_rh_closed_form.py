@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 import apq
-from apq import DomainError, Params, alpha0, derive_constants, rh_constant
+from apq import DomainError, Params, SolveError, alpha0, derive_constants, rh_constant
 from apq.rh import tail_envelope_constant, tail_integral, truncated_integral
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "apqbench"))
@@ -86,3 +86,12 @@ def test_package_runs_without_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_overflow_raises_solve_error():
+    # x1**(1 + alpha) leaves the double range near alpha0 ~ 1000 at Q -> 1.
+    q = 1.0 + 1e-6
+    alpha = 0.9 * alpha0(q)
+    for f in (truncated_integral, tail_integral):
+        with pytest.raises(SolveError):
+            f(q, alpha, 7e3, (7.0, q / 7.0))

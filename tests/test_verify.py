@@ -8,7 +8,7 @@ from apq import (DomainError, Params, Region, apq_norm, build, check_concavity,
                  check_dv_signs, check_majorization, derive_constants, distribution,
                  evaluate, oracle_max, step_weight)
 from apq.params import derive_constants_from_gammas
-from apq.verify import lipschitz_slack, sample_point
+from apq.verify import _leaf_values, lipschitz_slack, sample_point
 
 from conftest import CASES, gamma1, random_in_region, setup
 
@@ -126,7 +126,7 @@ def _oracle_full_product(x, c, p, n_pieces, value_grid, break_grid,
     cand.sort(key=lambda t: -t[0])
     for ob, cuts, values in cand:
         w = step_weight(list(cuts), list(values))
-        if apq_norm(w, p, resolution=8) <= p.q * (1.0 + norm_slack):
+        if apq_norm(w, p) <= p.q * (1.0 + norm_slack):
             return ob
     return -math.inf
 
@@ -189,6 +189,26 @@ def test_majorization_small():
         p, c = setup(p1, p2)
         rep = check_majorization(c, p, n_weights=25, seed=7, depth=8)
         assert rep.passed, rep.details[:3]
+
+
+@pytest.mark.parametrize("cls, n_weights", [((1.0, -1.0), 5), ((2.0, 1.0), 5),
+                                             ((-0.5, -2.0), 20), ((2.0, -1.0), 20)])
+def test_majorization_near_q_one(cls, n_weights):
+    # At Q = 1 + 1e-6, in_domain's slack is 1e-6 of the domain's width; splits
+    # that took children that far past the extreme curve left leaves that no
+    # unit-curve chord passes through.
+    p, c = setup(*cls, 1.0 + 1e-6)
+    assert check_majorization(c, p, n_weights=n_weights).passed
+
+
+def test_leaf_near_zero_hits_both_moments():
+    # A region-IV leaf with tiny coordinates.  A unit-curve test absolute in
+    # x2 took it for one step, whose second moment missed x2 by a factor of 68.
+    p, c = setup(5.0, 4.0, 3.0)
+    x = (4.1353996381627096e-18, 1.824004911485407e-16)
+    steps = _leaf_values(x, c, p)
+    for k, xk in ((p.p1, x[0]), (p.p2, x[1])):
+        assert abs(sum(length * v**k for length, v in steps) - xk) <= 1e-9 * xk
 
 
 def test_majorization_depth_zero(a2_setup):

@@ -127,6 +127,12 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
                                   "--x1", FOUND_X[0], "--x2", FOUND_X[1]]
     inv["verify_majorization"] = ["verify-majorization", *_cls("1", "-1"),
                                   "--n-weights", "60"]
+    # The other classes at Q = 2, and one at Q -> 1, where the domain is so
+    # thin that in_domain's slack is a visible share of its width.
+    for p1, p2, q in [("2", "1", "2"), ("-0.5", "-2", "2"), ("2", "-1", "2"),
+                      ("1", "-1", "1.000001")]:
+        inv[f"verify_majorization_{p1}_{p2}_{q}"] = ["verify-majorization", *_cls(p1, p2, q),
+                                                     "--n-weights", "20"]
     inv["rh"] = ["rh", *_cls("1", "-1"), "--alpha", "0.2"]
     for q in ("1.05", "20"):
         alpha = 0.9 * (math.sqrt(float(q) / (float(q) - 1.0)) - 1.0)
