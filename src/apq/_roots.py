@@ -1,14 +1,15 @@
 """The one-dimensional solvers every other module uses.
 
 Each root the package needs is a monotone scalar problem: the tangency roots
-gamma_minus < 1 < gamma_plus, the region-III chord parameter, the region-IV
-tangent parameter, and their limiting-class counterparts.  All of them are
-solved the same way: grow a bracket geometrically until the sign flips
-(expand), then shrink it by safeguarded Newton-bisection (solve; rtsafe in
-Numerical Recipes 9.4).  The implicit parameters pass a derivative and
-settle in about ten evaluations; the one-shot solves pass none and bisect
-to float exhaustion.  The class-norm estimate for weights with power pieces
-maximises a unimodal ratio by golden section (golden_max).
+gamma_minus < 1 < gamma_plus, the chord crossings through U(1) (regions I
+and III), the region-IV tangent parameter, and their limiting-class
+counterparts.  All of them are solved the same way: grow a bracket
+geometrically until the sign flips (expand), then shrink it by safeguarded
+Newton-bisection (solve; rtsafe in Numerical Recipes 9.4).  The implicit
+parameters pass a derivative and settle in about ten evaluations; the
+one-shot solves pass none and bisect to float exhaustion.  The class-norm
+estimate for weights with power pieces maximises a unimodal ratio by golden
+section (golden_max).
 """
 
 from __future__ import annotations

@@ -171,8 +171,8 @@ def gradient_IV(v: float, c: DerivedConstants, p: Params) -> Gradient:
 @lru_cache(maxsize=64)
 def _a2_setup(q: float) -> tuple[Params, DerivedConstants]:
     p = Params(1.0, -1.0, q)
-    d = math.sqrt(q * (q - 1.0))  # q*q - q would lose digits as Q -> 1
-    gm, gp = q - d, q + d
+    gp = q + math.sqrt(q * (q - 1.0))  # q*q - q would lose digits as Q -> 1
+    gm = q / gp  # q - sqrt(...) cancels as Q grows; the roots multiply to Q
     from .params import derive_constants_from_gammas
     return p, derive_constants_from_gammas(p, gm, gp)
 

@@ -19,11 +19,12 @@ Per region (threshold 1):
         extended by the constant v, which equals the level-v floor (pointwise
         max) of the dilated profile with its power tail continued to 1.
 
-decompose is the one split of a point into unit-curve steps (regions I-III
-and the unit curve); build lays those steps out on [0, 1], and the dyadic
-majorization campaign closes its leaves with them.  Every construction
-verifies its own moments before returning, and every region-I chord passes
-the exact segment test geometry.segment_in_domain.
+decompose is the one split of a point into unit-curve steps, in every region
+and on the unit curve; build lays those steps out on [0, 1] in regions I-III,
+and the dyadic majorization campaign closes its leaves with them.  Region
+IV's steps are a tangent split, not an extremal weight: build takes only
+their v.  Every construction verifies its own moments before returning, and
+every region-I chord passes the exact segment test geometry.segment_in_domain.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import expand, solve
+from ._roots import solve
+from .bellman import _value_III
 from .errors import DomainError, SolveError
 from .geometry import (Point, Region, gamma1_point, in_domain, on_gamma1, on_gammaq,
                        region_of, segment_in_domain)
-from .implicit_v import solve_v_III, solve_v_IV
+from .implicit_v import _chord_crossing, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params, require_powers
 from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
 
@@ -47,24 +49,6 @@ class ExtremalPlan:
 
     def as_dict(self) -> dict:
         return {"region": self.region.value, **self.data}
-
-
-def _crossing_above_one(ratio: float, p: Params) -> float | None:
-    """Unit-curve parameter u > 1 with (u**p1 - 1)/(u**p2 - 1) = ratio."""
-    f = lambda s: math.expm1(p.p1 * s) / math.expm1(p.p2 * s) - ratio  # s = log u > 0
-
-    def df(s: float) -> float:
-        e1, e2 = math.expm1(p.p1 * s), math.expm1(p.p2 * s)
-        return (p.p1 * (e1 + 1.0) * e2 - p.p2 * (e2 + 1.0) * e1) / e2**2
-
-    f_at_one = p.p1 / p.p2 - ratio
-    if f_at_one == 0.0:
-        return None
-    try:
-        s_hi, f_hi = expand(f, 0.5, 4.0, f_at_one, 60, "unit-curve crossing with u > 1")
-    except SolveError:
-        return None
-    return math.exp(solve(f, df, 0.0, s_hi, f_at_one, f_hi))
 
 
 def _chord_split(x: Point, u: float, v: float, p: Params) -> tuple[float, float, float] | None:
@@ -96,15 +80,16 @@ def region1_chord(x: Point, c: DerivedConstants, p: Params) -> tuple[float, floa
     [r/gamma_plus, r].  v is the root of the chord's miss of x2, whose end
     values are the signed distances of x to the two curves; the region-IV
     tangent residual has the same root but cancels when x2 is far below its
-    terms.  The second tangent serves extreme classes, where the chord
-    through (1, 1) loses the low digits of a tiny x2.
+    terms.
     """
-    if abs(x[1] - 1.0) > 1e-13:
-        u = _crossing_above_one((x[0] - 1.0) / (x[1] - 1.0), p)
-        if u is not None and u > 1.0:
-            got = _chord_split(x, u, 1.0, p)
-            if got is not None:
-                return got
+    try:
+        u = _chord_crossing(x, p, True)
+    except SolveError:  # no chord through (1, 1)
+        u = 1.0
+    if u > 1.0:
+        got = _chord_split(x, u, 1.0, p)
+        if got is not None:
+            return got
 
     def miss(v: float) -> float:  # both mixing weights formed directly: 1 - mu cancels
         (u1, u2), (v1, v2) = gamma1_point(v / c.v_minus, p), gamma1_point(v, p)
@@ -159,8 +144,10 @@ def decompose(x: Point, c: DerivedConstants,
     On the unit curve one step; in region I region1_chord's (mu, u),
     (1 - mu, v); in region II region2_segment's lengths on (v_minus, 1,
     v_plus), in that order; in region III solve_v_III's chord through U(1),
-    (mu, 1), (1 - mu, v).  Region IV gets no steps: its extremal weight has a
-    power tail.  Raises DomainError outside the domain.
+    (mu, 1), (1 - mu, v).  In region IV x rides its tangent line out to the
+    second unit-curve crossing at v/v_minus: (th, v/v_minus), (1 - th, v).
+    That split is not extremal (the extremal weight has a power tail), and
+    build reads only its v.  Raises DomainError outside the domain.
     """
     require_powers(p, "decompose")
     if not in_domain(x, p):
@@ -176,20 +163,22 @@ def decompose(x: Point, c: DerivedConstants,
         return region, [(l1, c.v_minus), (l2, 1.0), (l3, c.v_plus)]
     if region == Region.III:
         v = solve_v_III(x, p)
-        mu = (x[0] - v**p.p1) / (-math.expm1(p.p1 * math.log(v)))
-        mu = min(max(mu, 0.0), 1.0)
+        mu = min(max(_value_III(x, v, p), 0.0), 1.0)
         return region, [(mu, 1.0), (1.0 - mu, v)]
-    return region, []
-
-
-def _tangent_mix(x: Point, c: DerivedConstants, p: Params) -> tuple[float, float]:
-    """Tangent parameter v of a region-IV point and its mixing weight lam in
-    [0, 1] between the unit-curve base point and the extreme-curve touch point."""
     v = solve_v_IV(x, c, p)
+    v2 = v / c.v_minus
+    lo, hi = v**p.p1, v2**p.p1
+    th = min(max((x[0] - lo) / (hi - lo), 0.0), 1.0)
+    return region, [(th, v2), (1.0 - th, v)]
+
+
+def _tangent_mix(x: Point, v: float, c: DerivedConstants, p: Params) -> float:
+    """Mixing weight lam in [0, 1] of a region-IV point with tangent parameter
+    v between the unit-curve base point and the extreme-curve touch point."""
     y1 = (c.gamma_plus * v) ** p.p1
     vp1 = v**p.p1
     lam = 1.0 if on_gammaq(x, p) else (x[0] - vp1) / (y1 - vp1)
-    return v, min(max(lam, 0.0), 1.0)
+    return min(max(lam, 0.0), 1.0)
 
 
 def _boundary_iv_pieces(v: float, c: DerivedConstants, p: Params,
@@ -221,7 +210,8 @@ def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPla
     region, steps = decompose(x, c, p)
 
     if region == Region.IV:
-        v, lam = _tangent_mix(x, c, p)
+        v = steps[1][1]
+        lam = _tangent_mix(x, v, c, p)
         if lam <= 0.0:
             raise SolveError(f"degenerate tangent mixing weight at {x}")
         pieces = _boundary_iv_pieces(v, c, p, lam, lam)
@@ -261,8 +251,8 @@ def extended_iv_weight(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight
     Returns (weight, v); its level-v floor (cutoff_above) must agree with
     build(x) pointwise, which the test suite checks.
     """
-    v, lam = _tangent_mix(x, c, p)
-    pieces = _boundary_iv_pieces(v, c, p, lam, 1.0)
+    v = solve_v_IV(x, c, p)
+    pieces = _boundary_iv_pieces(v, c, p, _tangent_mix(x, v, c, p), 1.0)
     return Weight(tuple(pieces)), v
 
 

@@ -2,12 +2,14 @@
 
 Region III: v != 1 solves the chord equation (x, U(1) and U(v) collinear)
 
-    v**p2 * (1 - x1) - v**p1 * (1 - x2) = x2 - x1,
+    v**p2 * (1 - x1) - v**p1 * (1 - x2) = x2 - x1.
 
-equivalent (for x2 != 1) to h(v) = (v**p1 - 1)/(v**p2 - 1) = (x1-1)/(x2-1).
-h is monotone on (0, 1) (derivative sign sig(p1*p2) there), so the v < 1
-branch has one sign change to bracket; cancellation near v = 1 is avoided
-by writing v**p - 1 = expm1(p*log v).
+Its residual vanishes at v = 1 and once more on each side of 1 where the
+line through U(1) and x meets the unit curve again.  One solve
+(_chord_crossing) brackets that crossing on the residual itself, in
+u = log v, below 1 for region III and above 1 for the region-I chord of the
+extremal weights; near v = 1 it writes the residual in the offsets
+v**p - 1 = expm1(p*log v), which keep their digits there.
 
 Region IV: v solves the tangent-line equation
 
@@ -94,51 +96,54 @@ def _chord_slope_log(v: float, x: Point, p: Params) -> float:
     return p.k2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (p.one2 - x2)
 
 
-def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
-    """Chord parameter v < 1 for a region-III point (or its closure).
+def _chord_crossing(x: Point, p: Params, above: bool, v0: float | None = None) -> float:
+    """Second unit-curve crossing v != 1 of the line through U(1) and x: v > 1
+    when `above` is set, v < 1 otherwise.
 
-    v0, when given, is a nearby solution (stencil evaluations) that starts
-    the Newton iteration.  Raises SolveError for the degenerate chord at
-    (1, 1) or when the ratio (x1-1)/(x2-1) falls outside the range of h on
-    (0, 1).
+    The root is bracketed on the chord residual itself in u = log v.  It
+    vanishes at u = 0 too, so just past 0 on the chosen side it has the sign
+    of +-(its slope at U(1)), and the bracket grows from +-0.5 until the sign
+    turns.  v0, when given, is a nearby solution that starts the Newton
+    iteration.  SolveError when x is U(1), when the chord is tangent to the
+    unit curve at U(1), or when no crossing is bracketed.
     """
     x1, x2 = x
     if abs(x1 - 1.0) < 1e-14 and abs(x2 - p.one2) < 1e-14:
         raise SolveError("degenerate chord: x = U(1) determines no parameter")
-    if abs(x2 - p.one2) < 1e-300:
-        raise SolveError("degenerate chord: x2 = U(1)_2 with x1 != 1 meets the unit curve only at 1")
-    ratio = (x1 - 1.0) / (x2 - p.one2)
-
-    def h_of_u(u: float) -> float:
-        # h(exp(u)) - ratio, with u = log v < 0; expm1 keeps v near 1 exact.
-        return math.expm1(p.p1 * u) / p.offset2(u) - ratio
-
-    f_at_one = p.p1 / p.k2 - ratio  # limit of h as v -> 1
-    if f_at_one == 0.0:
+    side = 1.0 if above else -1.0
+    ref = side * _chord_slope_log(1.0, x, p)  # the residual's sign just past u = 0
+    if ref == 0.0:
         raise SolveError("chord through (1,1) is tangent to the unit curve; no second crossing")
-    u_lo, _ = expand(h_of_u, -0.5, 4.0, f_at_one, 60, "unit-curve crossing with v < 1")
-    # Newton runs on the chord residual, which keeps x's digits where h's
-    # ratio rounds them away.  It equals h_of_u times a factor of one sign
-    # on v < 1, so it changes sign in the same bracket; it also vanishes at
-    # v = 1, so its sign as u -> 0- is taken opposite to its value at u_lo.
-    # Near v = 1 that trivial root sits next to the wanted one, and the raw
-    # terms cancel down to their rounding; written in offsets from U(1) the
-    # same residual keeps its digits there (while far from 1 the offsets
-    # would round away the powers, which the raw form keeps).
+
+    # Near v = 1 the raw terms cancel down to their rounding; written in
+    # offsets from U(1) the same residual keeps its digits there (while far
+    # from 1 the offsets would round away the powers, which the raw form keeps).
     def g(u: float) -> float:
         if abs(p.p1 * u) < 0.5 and abs(p.p2 * u) < 0.5:
             return (1.0 - x1) * p.offset2(u) - (p.one2 - x2) * math.expm1(p.p1 * u)
         return chord_residual(math.exp(u), x, p)
     dg = lambda u: _chord_slope_log(math.exp(u), x, p)
-    g_lo = g(u_lo)
+    u_end, g_end = expand(g, 0.5 * side, 4.0, ref, 60, "unit-curve crossing with v "
+                          + ("> 1" if above else "< 1"))
     u0 = math.log(v0) if v0 is not None and v0 > 0.0 else None
-    v = math.exp(solve(g, dg, u_lo, 0.0, g_lo, -g_lo, u0))
+    if above:
+        return math.exp(solve(g, dg, 0.0, u_end, ref, g_end, u0))
+    return math.exp(solve(g, dg, u_end, 0.0, g_end, ref, u0))
 
+
+def solve_v_III(x: Point, p: Params, v0: float | None = None) -> float:
+    """Chord parameter v < 1 for a region-III point (or its closure).
+
+    v0, when given, is a nearby solution (stencil evaluations) that starts
+    the Newton iteration.  Raises SolveError where _chord_crossing does, or
+    when the root misses the chord equation or lands on the wrong side.
+    """
+    v = _chord_crossing(x, p, False, v0)
     res = abs(chord_residual(v, x, p)) / _chord_scale(v, x, p)
     if res > 1e-11:
         raise SolveError(f"chord solve residual {res:.3e} too large at x={x}")
-    gap = x1 - v**p.p1
-    if abs(gap) > 1e-12 * max(1.0, abs(x1)) \
+    gap = x[0] - v**p.p1
+    if abs(gap) > 1e-12 * max(1.0, abs(x[0])) \
             and math.copysign(1.0, gap) != math.copysign(1.0, p.p1):
         raise SolveError(f"chord solve landed on the wrong side at x={x}")
     return v

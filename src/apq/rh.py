@@ -12,8 +12,9 @@ on x.  There the surface splits into three exact ranges, each in closed form:
 * t <= 1/gamma_plus: region I, integrand t**alpha;
 * 1/gamma_plus <= t <= 1/gamma_minus: region II, the sheet a2/t + b2*Q*t + c2;
 * t >= 1/gamma_minus: region IV, where B = C(Q) * (Q*t)**(-kappa) with
-  kappa = Q/sqrt(Q**2-Q), so the tail is finite exactly when
-  alpha < kappa - 1 = sqrt(Q/(Q-1)) - 1 = alpha0(Q).
+  kappa = Q/sqrt(Q**2-Q) = 1 + alpha0(Q), so the tail is finite exactly when
+  alpha < alpha0(Q) = sqrt(Q/(Q-1)) - 1.  The code reads kappa through
+  alpha0, whose form keeps its digits for every Q.
 
 The threshold is attained: the pure power profile t**(-nu) has its
 (1+alpha)-moment diverge exactly at alpha0, since 1/nu - 1 = alpha0.
@@ -73,13 +74,12 @@ def _check(q: float, alpha: float = 1.0, s_max: float = 0.0, x: Point | None = N
 
 
 def alpha0(q: float) -> float:
-    """Critical extra-integrability exponent sqrt(Q/(Q-1)) - 1."""
+    """Critical extra-integrability exponent sqrt(Q/(Q-1)) - 1.
+
+    Formed as expm1(log1p(1/(Q-1))/2), which keeps its digits as Q grows
+    (where the square root nears 1) and as Q -> 1 (where Q - 1 is exact)."""
     _check(q)
-    return math.sqrt(q / (q - 1.0)) - 1.0
-
-
-def _kappa(q: float) -> float:
-    return q / math.sqrt(q * (q - 1.0))
+    return math.expm1(0.5 * math.log1p(1.0 / (q - 1.0)))
 
 
 def tail_envelope_constant(q: float) -> float:
@@ -97,15 +97,18 @@ def _power_integral(coef: float, a: float, b: float, k: float) -> float:
     return coef * a**k * (r if k == 0.0 else math.expm1(k * r) / k)
 
 
-def _tail(q: float, alpha: float, sigma: float) -> float:
-    """(1+alpha) * integral_{1/gamma_minus}^sigma t**alpha * B(1/t, Q*t) dt, the
-    region-IV piece at (1, Q), where B = C(Q)*(Q*t)**(-kappa)."""
+def _tail(q: float, alpha: float, s_max: float, x1: float = 1.0) -> float:
+    """(1+alpha) * integral_{x1/gamma_minus}^{s_max} s**alpha * B(x1/s, x2*s) ds,
+    the region-IV piece at the point x = (x1, Q/x1).  s = x1*t scales it to
+    x1**(1+alpha) times the piece at (1, Q), where B = C(Q)*(Q*t)**(-kappa)
+    with kappa = 1 + alpha0; below its start it is 0, whatever x1 is."""
     s0 = 1.0 / _a2_setup(q)[1].gamma_minus
+    sigma = s_max / x1
     if sigma <= s0:
         return 0.0
-    kappa = _kappa(q)
-    coef = (1.0 + alpha) * tail_envelope_constant(q) * q ** (-kappa)
-    return _power_integral(coef, s0, sigma, alpha + 1.0 - kappa)
+    a0 = alpha0(q)
+    coef = (1.0 + alpha) * tail_envelope_constant(q) * q ** (-1.0 - a0)
+    return x1 ** (1.0 + alpha) * _power_integral(coef, s0, sigma, alpha - a0)
 
 
 def _sheet_dip(alpha: float, span: float) -> float:
@@ -122,14 +125,17 @@ def _sheet_dip(alpha: float, span: float) -> float:
     return total
 
 
-def _layer_cake(q: float, alpha: float, sigma: float) -> float:
-    """(1+alpha) * integral_0^sigma t**alpha * B(1/t, Q*t) dt in closed form, region
-    by region, with the doubles evaluate_a2 uses."""
+def _layer_cake(q: float, alpha: float, s_max: float, x1: float = 1.0) -> float:
+    """(1+alpha) * integral_0^{s_max} s**alpha * B(x1/s, x2*s) ds at the point
+    x = (x1, Q/x1) in closed form, region by region, with the doubles
+    evaluate_a2 uses.  s = x1*t scales it to x1**(1+alpha) times the integral
+    at (1, Q), except on region I, where the integrand is s**alpha."""
     _, c = _a2_setup(q)
     lo, hi = 1.0 / c.gamma_plus, 1.0 / c.gamma_minus
     k = 1.0 + alpha
+    sigma = s_max / x1
     if sigma <= lo:
-        return sigma**k
+        return s_max**k
     b = min(sigma, hi)
     span = math.log(b / lo)
     if span >= 1.0:
@@ -141,7 +147,7 @@ def _layer_cake(q: float, alpha: float, sigma: float) -> float:
         # 1 + b2*gamma_minus*(tau - 1)**2/tau, tau = t/lo (a2 = v_minus*b2,
         # c2 = 1 - a2 - b2, gamma_minus*gamma_plus = Q, gamma_minus + gamma_plus = 2Q).
         total = b**k + k * c.b2 * c.gamma_minus * lo**k * _sheet_dip(alpha, span)
-    return total + _tail(q, alpha, sigma)
+    return x1**k * (total + _tail(q, alpha, sigma))
 
 
 def rh_constant(q: float, alpha: float, x: Point | None = None) -> RHResult:
@@ -150,18 +156,18 @@ def rh_constant(q: float, alpha: float, x: Point | None = None) -> RHResult:
     (with infinite constant) when the tail diverges, i.e. alpha >= alpha0(Q)."""
     _check(q, alpha, x=x)
     a0 = alpha0(q)
-    if alpha - _kappa(q) >= -1.0:
+    if alpha >= a0:
         return RHResult(alpha=alpha, alpha0=a0, constant=math.inf, converged=False)
     return RHResult(alpha=alpha, alpha0=a0, constant=_layer_cake(q, alpha, math.inf),
                     converged=True)
 
 
 def _at_point(part, q: float, alpha: float, s_max: float, x: Point | None) -> float:
-    """x1**(1+alpha) * part(q, alpha, s_max/x1): the integral at the point x,
-    which s = x1*t scales to (1, Q).  SolveError when a power overflows."""
+    """part(q, alpha, s_max, x1): the integral at the point x.  SolveError when
+    a power overflows."""
     x1 = _check(q, alpha, s_max, x)
     try:
-        return x1 ** (1.0 + alpha) * part(q, alpha, s_max / x1)
+        return part(q, alpha, s_max, x1)
     except OverflowError:
         raise SolveError(f"the layer-cake integral at x1 = {x1}, alpha = {alpha}, "
                          f"s_max = {s_max} leaves double precision") from None

@@ -14,9 +14,8 @@ normalized excess over the stated tolerances is <= 0):
   it costs C(break_grid, n-1) * V**(n-1) * log V for n pieces on V values.
 * check_majorization: random dyadic splitting trees whose chords stay inside
   the domain, closed at the leaves with exact unit-curve decompositions
-  (extremal.decompose, plus a tangent split in region IV); every generated
-  step weight must satisfy |{w >= 1}| <= B(moments(w)) and every recorded
-  split the chord inequality.
+  (extremal.decompose); every generated step weight must satisfy
+  |{w >= 1}| <= B(moments(w)) and every recorded split the chord inequality.
 * check_dv_signs: the monotonicity diagnostics of the implicit parameter.
 """
 
@@ -395,24 +394,6 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
 # Dyadic majorization campaign
 # ---------------------------------------------------------------------------
 
-def _leaf_values(x: Point, c: DerivedConstants, p: Params) -> list[tuple[float, float]]:
-    """Exact decomposition of x into unit-curve values: [(fraction, value)].
-
-    decompose's steps, except in region IV, whose extremal weight has a power
-    tail: there x rides its tangent line out to the second unit-curve crossing
-    at v/v_minus.
-    """
-    region, steps = decompose(x, c, p)
-    if region != Region.IV:
-        return steps
-    v = solve_v_IV(x, c, p)
-    v2 = v / c.v_minus
-    lo, hi = v**p.p1, v2**p.p1
-    th = (x[0] - lo) / (hi - lo)
-    th = min(max(th, 0.0), 1.0)
-    return [(th, v2), (1.0 - th, v)]
-
-
 def _random_split(x: Point, p: Params, rng: np.random.Generator):
     """Random chord split x = alpha*xm + (1-alpha)*xp with the segment in the
     domain; the half-length shrinks on rejection, degenerating gracefully.
@@ -454,7 +435,7 @@ def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
         def emit_leaf(x: Point, lo: float, hi: float) -> None:
             span = hi - lo
             pos = lo
-            for frac, val in _leaf_values(x, c, p):
+            for frac, val in decompose(x, c, p)[1]:
                 if frac > 0.0:
                     nxt = pos + frac * span
                     segments.append((pos, nxt, val))

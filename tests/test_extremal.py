@@ -71,19 +71,18 @@ def test_degenerate_inputs(a2_setup):
 
 
 def test_decompose_steps_hit_moments():
-    # The one split into unit-curve steps: in regions I-III and on the unit
-    # curve the lengths sum to 1 and hit both moments; region IV has none.
+    # The one split into unit-curve steps: in every region and on the unit
+    # curve the lengths sum to 1 and hit both moments.
     rng = np.random.default_rng(11)
     for p1, p2 in CASES:
         p, c = setup(p1, p2)
-        for region in (Region.I, Region.II, Region.III):
+        for region in (Region.I, Region.II, Region.III, Region.IV):
             for x in random_in_region(rng, c, p, region, 5):
                 got, steps = decompose(x, c, p)
                 assert got == region
                 assert sum(length for length, _ in steps) == pytest.approx(1.0, abs=1e-12)
                 for k, xk in ((p1, x[0]), (p2, x[1])):
                     assert abs(sum(length * v**k for length, v in steps) - xk) <= 1e-9 * abs(xk)
-        assert decompose(random_in_region(rng, c, p, Region.IV, 1)[0], c, p) == (Region.IV, [])
         region, steps = decompose(gamma1(0.6, p), c, p)
         assert region == Region.GAMMA1 and steps == [(1.0, pytest.approx(0.6, rel=1e-12))]
         with pytest.raises(DomainError):

@@ -88,7 +88,7 @@ def test_solve_v_IV_within_roundoff_of_extreme_curve():
 def test_solver_evaluations_per_call(monkeypatch):
     # Newton steps inside the bracket settle in about ten residual evaluations;
     # bisection to float exhaustion took about 60.  The chord count includes
-    # the bracket search, which runs on h(v) - ratio.
+    # the bracket search.
     counts = {"chord": 0, "tangent": 0}
 
     def counted(key, fn):
@@ -97,20 +97,25 @@ def test_solver_evaluations_per_call(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(implicit_v, "chord_residual", counted("chord", chord_residual))
-    monkeypatch.setattr(implicit_v, "tangent_residual", counted("tangent", tangent_residual))
-    expand = implicit_v.expand
-    monkeypatch.setattr(implicit_v, "expand",
-                        lambda f, *args: expand(counted("chord", f), *args))
     rng = np.random.default_rng(7)
-    n = 0
+    cases = []
     for q3 in ((1.0, -1.0, 2.0), (2.0, 1.0, 1.05), (-0.5, -2.0, 50.0), (2.0, -1.0, 4.0),
                (-1.0, -2.0, 20.0), (5.0, 4.0, 3.0)):
         p, c = setup(*q3)
         for _ in range(50):
-            solve_v_III(random_in_region(rng, c, p, Region.III, 1)[0], p)
-            solve_v_IV(random_in_region(rng, c, p, Region.IV, 1)[0], c, p)
-            n += 1
+            cases.append((p, c, random_in_region(rng, c, p, Region.III, 1)[0],
+                          random_in_region(rng, c, p, Region.IV, 1)[0]))
+    n = len(cases)
+
+    monkeypatch.setattr(implicit_v, "tangent_residual", counted("tangent", tangent_residual))
+    for p, c, _, x in cases:
+        solve_v_IV(x, c, p)
+    # The chord solve hands its residual in u = log v to expand and solve.
+    expand, solve = implicit_v.expand, implicit_v.solve
+    monkeypatch.setattr(implicit_v, "expand", lambda f, *args: expand(counted("chord", f), *args))
+    monkeypatch.setattr(implicit_v, "solve", lambda f, *args: solve(counted("chord", f), *args))
+    for p, _, x, _ in cases:
+        solve_v_III(x, p)
     assert counts["tangent"] <= 12 * n
     assert counts["chord"] <= 18 * n
 
@@ -118,13 +123,23 @@ def test_solver_evaluations_per_call(monkeypatch):
 @pytest.mark.parametrize("x", [(5.5641401062549389e-07, 0.00071129172913262967),
                                (4.5783148790893376e-06, 0.0020403353755374305)])
 def test_chord_solve_matches_reference_at_tiny_coordinates(x):
-    # Region-III scan points of (2, 1, 20) where (x1-1)/(x2-1) rounds away
-    # x's low digits: only the raw chord residual keeps B to 1e-13.
+    # Region-III scan points of (2, 1, 20) where the ratio (x1-1)/(x2-1)
+    # would round away x's low digits: the raw chord residual keeps B to 1e-13.
     p, c = setup(2.0, 1.0, 20.0)
     got = evaluate(x, c, p)
     assert got.region == Region.III
     want = float(Reference(2.0, 1.0, 20.0).bound(*x))
     assert abs(got.value - want) <= 1e-13 * abs(want)
+
+
+def test_chord_solve_at_tiny_coordinates_of_an_extreme_class():
+    # A scan grid point of (5, 4, 100), far below U(1), that the chord solve
+    # refused as landing on the wrong side.  It lies within rounding of the
+    # III/IV boundary (the reference puts it in IV), where the formulas meet.
+    x = (1.4361088697914278e-92, 2.5047579553392338e-74)
+    p, c = setup(5.0, 4.0, 100.0)
+    want = float(Reference(5.0, 4.0, 100.0).bound(*x))
+    assert abs(evaluate(x, c, p).value - want) <= 1e-8 * want
 
 
 @pytest.mark.parametrize("p1, p2", [(1.0, 0.0), (1.0, -1.0), (-0.5, -2.0), (2.0, 1.0)])

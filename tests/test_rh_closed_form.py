@@ -12,10 +12,11 @@ import pytest
 
 import apq
 from apq import DomainError, Params, SolveError, alpha0, derive_constants, rh_constant
+from apq.bellman import _a2_setup
 from apq.rh import tail_envelope_constant, tail_integral, truncated_integral
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "apqbench"))
-from reference import Reference  # noqa: E402
+from reference import Reference, alpha0 as reference_alpha0  # noqa: E402
 
 
 @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.05, 2.0, 5.0, 100.0, 1e4])
@@ -95,3 +96,37 @@ def test_overflow_raises_solve_error():
     for f in (truncated_integral, tail_integral):
         with pytest.raises(SolveError):
             f(q, alpha, 7e3, (7.0, q / 7.0))
+
+
+@pytest.mark.parametrize("q", [1.0 + 1e-6, 1.05, 2.0, 1e4, 1e8, 1e12, 1e16])
+def test_alpha0_matches_reference(q):
+    # sqrt(Q/(Q-1)) - 1 cancels as Q grows: it was off by 1.4e-8 at Q = 1e8
+    # and returned 0 at 1e16.
+    want = reference_alpha0(q)
+    assert abs(alpha0(q) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("q", [1e4, 1e8, 1e12])
+def test_a2_lower_root_matches_reference(q):
+    # Q - sqrt(Q**2 - Q) cancels as Q grows: it was off by 2.5e-9 at Q = 1e8.
+    _, c = _a2_setup(q)
+    ref = Reference(1.0, -1.0, q)
+    assert abs(c.gamma_minus - ref.gm) <= 1e-15 * ref.gm
+    assert abs(c.gamma_plus - ref.gp) <= 1e-15 * ref.gp
+
+
+def test_rh_constant_converges_at_large_q():
+    got = rh_constant(1e16, 0.5 * float(reference_alpha0(1e16)))
+    assert got.converged and math.isfinite(got.constant)
+
+
+def test_region_i_and_unstarted_tail_form_no_power_of_x1():
+    # x1**(1 + alpha) overflows at x1 = 7, alpha ~ 899, but up to
+    # s_max = x1/gamma_plus the integrand is s**alpha and the tail has not
+    # started, so both results are representable.
+    q = 1.0 + 1e-6
+    alpha = 0.9 * alpha0(q)
+    x = (7.0, q / 7.0)
+    for s_max in (1.0, 0.5):
+        assert truncated_integral(q, alpha, s_max, x) == s_max ** (1.0 + alpha)
+        assert tail_integral(q, alpha, s_max, x) == 0.0

@@ -7,8 +7,9 @@ import pytest
 from apq import (DomainError, Params, Region, apq_norm, build, check_concavity,
                  check_dv_signs, check_majorization, derive_constants, distribution,
                  evaluate, oracle_max, step_weight)
+from apq.extremal import decompose
 from apq.params import derive_constants_from_gammas
-from apq.verify import _leaf_values, lipschitz_slack, sample_point
+from apq.verify import lipschitz_slack, sample_point
 
 from conftest import CASES, gamma1, random_in_region, setup
 
@@ -206,7 +207,8 @@ def test_leaf_near_zero_hits_both_moments():
     # x2 took it for one step, whose second moment missed x2 by a factor of 68.
     p, c = setup(5.0, 4.0, 3.0)
     x = (4.1353996381627096e-18, 1.824004911485407e-16)
-    steps = _leaf_values(x, c, p)
+    region, steps = decompose(x, c, p)
+    assert region == Region.IV
     for k, xk in ((p.p1, x[0]), (p.p2, x[1])):
         assert abs(sum(length * v**k for length, v in steps) - xk) <= 1e-9 * xk
 

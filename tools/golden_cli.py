@@ -109,6 +109,10 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
     inv["scan_underflow"] = ["scan", *_cls("1", "0.999"), "--grid", "4"]
     # A region-IV grid point within roundoff of the extreme curve.
     inv["scan_-1_-2_20"] = ["scan", *_cls("-1", "-2", "20"), "--grid", "64"]
+    # A region-III scan grid point far below U(1), within rounding of the
+    # III/IV boundary.
+    inv["eval_5_4_100_tiny"] = ["eval", *_cls("5", "4", "100"),
+                                *_at((1.4361088697914278e-92, 2.5047579553392338e-74))]
     for name, (p1, p2, q), x in REGION_II_EXTREME:
         inv[f"extremal_{name}"] = ["extremal", *_cls(p1, p2, q), *_at(x)]
     inv["verify_concavity"] = ["verify-concavity", *_cls("1", "-1"),
@@ -137,6 +141,8 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
     for q in ("1.05", "20"):
         alpha = 0.9 * (math.sqrt(float(q) / (float(q) - 1.0)) - 1.0)
         inv[f"rh_{q}"] = ["rh", *_cls("1", "-1", q), "--alpha", repr(alpha)]
+    # alpha0(1e8) is about 5e-9: a large Q, where sqrt(Q/(Q-1)) - 1 cancels.
+    inv["rh_1e8"] = ["rh", *_cls("1", "-1", "1e8"), "--alpha", "2.5e-9"]
     # Points of x1*x2 = 2: off the default, negative, and at the scale limit.
     for tag, x in (("point", ("0.08", "25")), ("negative", ("-1", "-2")),
                    ("tiny", ("1e-300", "2e300"))):
