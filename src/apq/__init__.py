@@ -11,7 +11,7 @@ from .bellman import (BellmanValue, Gradient, evaluate, evaluate_a2,
                       evaluate_ainf, evaluate_lambda, gradient)
 from .errors import ApqError, DomainError, NonIntegrableError, SolveError
 from .extremal import ExtremalPlan, build
-from .geometry import Line, Point, Region, classify, in_domain, tangent_line
+from .geometry import Point, Region, classify, in_domain
 from .implicit_v import (GradientDiagnostics, diagnostics, dv_sign_check,
                          solve_v_III, solve_v_IV)
 from .params import DerivedConstants, Params, ainf_constants, derive_constants, solve_gammas
@@ -27,7 +27,7 @@ __all__ = [
     "ApqError", "DomainError", "SolveError", "NonIntegrableError",
     "Params", "DerivedConstants",
     "solve_gammas", "derive_constants", "ainf_constants",
-    "Point", "Region", "Line", "in_domain", "classify", "tangent_line",
+    "Point", "Region", "in_domain", "classify",
     "solve_v_III", "solve_v_IV", "dv_sign_check", "diagnostics",
     "GradientDiagnostics",
     "BellmanValue", "Gradient", "evaluate", "evaluate_lambda", "gradient",

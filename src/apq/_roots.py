@@ -21,26 +21,36 @@ from .errors import SolveError
 _ITERATIONS = 200
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# What a residual raises far from its root: ValueError covers a math domain
+# error and fsum's inf - inf.
+_FAULTS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def guarded(f, x: float, failure: str) -> float:
+    """f(x), with an arithmetic fault of f raised as SolveError(failure)."""
+    try:
+        return f(x)
+    except _FAULTS:
+        raise SolveError(failure) from None
+
 
 def expand(f, x: float, factor: float, ref: float, budget: int,
            what: str) -> tuple[float, float]:
     """Scale x by factor until f(x) and ref differ in sign; returns (x, f(x)).
 
     At most `budget` expansions follow the first evaluation.  Raises
-    SolveError when the budget runs out, or when f overflows, divides by
-    zero or returns a non-finite value on the way.
+    SolveError when the budget runs out, or when f faults (see guarded) or
+    returns a non-finite value on the way.
     """
+    failure = f"could not bracket the {what}"
     for _ in range(budget + 1):
-        try:
-            fx = f(x)
-        except (OverflowError, ZeroDivisionError):
-            raise SolveError(f"could not bracket the {what}") from None
+        fx = guarded(f, x, failure)
         if not math.isfinite(fx):
             break
         if (fx > 0.0) != (ref > 0.0):
             return x, fx
         x *= factor
-    raise SolveError(f"could not bracket the {what}")
+    raise SolveError(failure)
 
 
 def solve(f, df, lo: float, hi: float, flo: float, fhi: float,

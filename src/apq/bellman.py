@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .geometry import Point, Region, classify, in_domain, on_gamma1, region_of, tangent_slope
+from .geometry import (Point, Region, _split_quantities, classify, in_domain, on_gamma1,
+                       region_of)
 from .implicit_v import _chord_slope_log, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params, ainf_constants, require_powers
 
@@ -133,12 +134,11 @@ def gradient(x: Point, c: DerivedConstants, p: Params) -> Gradient:
     """Closed-form gradient; refuses points within 1e-9 of an internal boundary."""
     if not in_domain(x, p):
         raise DomainError(f"point {x} outside the moment domain")
-    region = classify(x, c, p)
     x1, x2 = x
-    for sign in ("+", "-"):
-        slope = tangent_slope(1.0, sign, c, p)
-        if abs(x2 - (slope * (x1 - 1.0) + p.one2)) <= _BOUNDARY_REFUSAL * max(1.0, abs(x2)):
-            raise DomainError(f"x={x} is within {_BOUNDARY_REFUSAL} of the {sign} tangent line")
+    d_plus, d_minus, _, _ = _split_quantities(x, c, p)
+    if min(abs(d_plus), abs(d_minus)) <= _BOUNDARY_REFUSAL * max(1.0, abs(x2)):
+        raise DomainError(f"x={x} is within {_BOUNDARY_REFUSAL} of a tangent line from (1, 1)")
+    region = region_of(x, c, p)
     if region == Region.I:
         return Gradient(0.0, 0.0)
     if region == Region.II:

@@ -81,7 +81,7 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_error(message: str, out_path: str | None = None) -> None:
+def _emit_error(message: str) -> None:
     _emit(_to_json({"error": message}), None)
 
 

@@ -9,8 +9,11 @@ Per region (threshold 1):
 * II  : three-step weight on values (v_minus, 1, v_plus) whose lengths are
         x's barycentric coordinates in the triangle U(v_minus), U(1),
         U(v_plus) on the unit curve U; its edges through U(1) are the two
-        tangent lines from (1, 1).  The anchor with the larger power sits at
-        t = 0, where its length is exact.
+        tangent lines from (1, 1).  Each length is a ratio of areas, the
+        area x spans with the opposite edge over the triangle's, both read
+        from geometry.side, so no length is a difference of numbers near 1.
+        The anchor with the larger power sits at t = 0, where its length is
+        exact.
 * III : two-step weight on values (1, v) split at mu = (x1 - v**p1)/(1 - v**p1).
 * IV  : on the extreme curve, the three-piece profile
         {1, then v_minus, then v_minus*(a/t)**nu} with a = (v/v_minus)**(1/nu)
@@ -32,11 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import solve
+from ._roots import guarded, solve
 from .bellman import _value_III
 from .errors import DomainError, SolveError
 from .geometry import (Point, Region, gamma1_point, in_domain, on_gamma1, on_gammaq,
-                       region_of, segment_in_domain)
+                       region_of, segment_in_domain, side)
 from .implicit_v import _chord_crossing, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params, require_powers
 from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
@@ -98,8 +101,9 @@ def region1_chord(x: Point, c: DerivedConstants, p: Params) -> tuple[float, floa
     r = math.exp(math.log(x[0]) / p.p1)
     for lo, hi in ((r * c.v_minus, r / c.gamma_plus), (r / c.gamma_plus, r)):
         try:
-            v = solve(miss, None, lo, hi, miss(lo), miss(hi))
-        except SolveError:  # rounding hid the sign change: no chord here
+            flo, fhi = (guarded(miss, t, "chord miss overflows") for t in (lo, hi))
+            v = solve(miss, None, lo, hi, flo, fhi)
+        except SolveError:  # an end overflowed, or rounding hid the sign change: no chord here
             continue
         u = v / c.v_minus
         if abs(v - 1.0) < 1e-9:
@@ -117,23 +121,20 @@ def region2_segment(x: Point, c: DerivedConstants,
 
     The lengths are x's barycentric coordinates in the triangle U(v_minus),
     U(1), U(v_plus), whose edges through U(1) = (1, 1) are the two tangent
-    lines: one 2x2 solve in offsets from (1, 1), with the anchor offsets
-    v**p - 1 = expm1(p*log v) formed without cancellation.  Raises SolveError
-    when the lengths miss the moments of x.
+    lines.  Each is a ratio of twice-areas from geometry.side: the triangle
+    x spans with the edge opposite a vertex, over the whole triangle's, so
+    no length is a difference of numbers near 1, and each is exactly 0 at
+    the other two vertices.  Raises SolveError when the lengths miss the
+    moments of x.
     """
-    lv_m, lv_p = math.log(c.v_minus), math.log(c.v_plus)
-    a1, a2 = math.expm1(p.p1 * lv_m), math.expm1(p.p2 * lv_m)
-    b1, b2 = math.expm1(p.p1 * lv_p), math.expm1(p.p2 * lv_p)
-    y1, y2 = x[0] - 1.0, x[1] - 1.0
-    det = a1 * b2 - a2 * b1  # twice the triangle's area: never 0 for three unit-curve points
-    l1 = (y1 * b2 - y2 * b1) / det
-    l3 = (a1 * y2 - a2 * y1) / det
-    l1, l3 = min(max(l1, 0.0), 1.0), min(max(l3, 0.0), 1.0)
-    l2 = max(1.0 - l1 - l3, 0.0)
-    for pk, xk in ((p.p1, x[0]), (p.p2, x[1])):
-        got = l1 * c.v_minus**pk + l2 + l3 * c.v_plus**pk
-        if abs(got - xk) > 1e-9 * abs(xk):
-            raise SolveError(f"region-II lengths miss moment p={pk} at {x}: {got} vs {xk}")
+    lo, one, hi = gamma1_point(c.v_minus, p), gamma1_point(1.0, p), gamma1_point(c.v_plus, p)
+    det = side(lo, one, hi)  # never 0 for three unit-curve points
+    l1, l2, l3 = (min(max(side(x, a, b) / det, 0.0), 1.0)
+                  for a, b in ((one, hi), (hi, lo), (lo, one)))
+    for k, pk in ((0, p.p1), (1, p.p2)):
+        got = l1 * lo[k] + l2 * one[k] + l3 * hi[k]
+        if abs(got - x[k]) > 1e-9 * abs(x[k]):
+            raise SolveError(f"region-II lengths miss moment p={pk} at {x}: {got} vs {x[k]}")
     return l1, l2, l3
 
 
@@ -243,17 +244,6 @@ def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPla
             pieces.append(ConstPiece(lo, hi, value))
         lo = hi
     return _verified(Weight(tuple(pieces)), ExtremalPlan(region, data), x, p)
-
-
-def extended_iv_weight(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, float]:
-    """The dilated extreme-curve profile with its power tail run out to 1.
-
-    Returns (weight, v); its level-v floor (cutoff_above) must agree with
-    build(x) pointwise, which the test suite checks.
-    """
-    v = solve_v_IV(x, c, p)
-    pieces = _boundary_iv_pieces(v, c, p, _tangent_mix(x, v, c, p), 1.0)
-    return Weight(tuple(pieces)), v
 
 
 def _verified(w: Weight, plan: ExtremalPlan, x: Point, p: Params) -> tuple[Weight, ExtremalPlan]:

@@ -14,20 +14,26 @@ curve touched by the two tangent lines from (1, 1).
 Whether a whole segment stays in the domain has a closed form
 (segment_log_ratio_range): log_ratio has at most one extremum along a line.
 
+A line is a pair of anchor points a, b; side(x, a, b) = (x - a) x (b - a),
+summed exactly from its six products, is the one test of which side x is
+on.  No O(1) term is left to round at tiny coordinates, and side is exactly
+0 at both anchors.  The tangent lines from U(1) = (1, 1) are anchored at
+U(1) and at their touch points E(gamma_plus), E(gamma_minus).
+
 The region split is written once with sign-normalized comparisons so all
 three exponent sign cases (p1 > p2 > 0, p1 > 0 > p2, 0 > p1 > p2) share one
 code path; the per-case inequality tables serve as test vectors.  Boundary
 tie-breaks: points on the upper tangent line classify as II, points on the
-lower tangent line as III (both its II-facing and IV-facing segments).
+lower tangent line as III (both its II-facing and IV-facing segments); they
+hold exactly at the touch points, where side is 0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SolveError
 from .params import DerivedConstants, Params
 
 Point = tuple[float, float]
@@ -40,17 +46,6 @@ class Region(enum.Enum):
     IV = "IV"
     GAMMA1 = "Gamma1"
     OUTSIDE = "Outside"
-
-
-@dataclass(frozen=True)
-class Line:
-    """x2 = slope * x1 + intercept."""
-
-    slope: float
-    intercept: float
-
-    def at(self, x1: float) -> float:
-        return self.slope * x1 + self.intercept
 
 
 def log_ratio(x: Point, p: Params) -> float:
@@ -128,37 +123,37 @@ def gammaq_point(a: float, p: Params) -> Point:
     return (a**p.p1, p.power2(a / p.q))
 
 
-def tangent_slope(v: float, sign: str, c: DerivedConstants, p: Params) -> float:
-    gamma = c.gamma_plus if sign == "+" else c.gamma_minus
-    return (p.k2 / p.p1) * p.q ** (-p.p2) * (gamma * v) ** (p.p2 - p.p1)
-
-
-def tangent_line(v: float, sign: str, c: DerivedConstants, p: Params) -> Line:
-    """Tangent from the unit-curve point with parameter v to the extreme curve.
-
-    The line passes through (v**p1, v**p2) and touches the extreme curve at
-    the point with parameter gamma_sign * v.
-    """
-    if not (math.isfinite(v) and v > 0.0):
-        raise DomainError(f"tangent base parameter must be positive, got {v}")
-    if sign not in ("+", "-"):
-        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
-    slope = tangent_slope(v, sign, c, p)
-    x1, x2 = gamma1_point(v, p)
-    return Line(slope=slope, intercept=x2 - slope * x1)
+def side(x: Point, a: Point, b: Point) -> float:
+    """(x - a) x (b - a), from its six products summed exactly: its sign is
+    the side of the line through a and b that x is on, and it is exactly 0
+    at a and at b.  SolveError when it overflows."""
+    x1, x2 = x
+    a1, a2 = a
+    b1, b2 = b
+    try:
+        s = math.fsum((x1 * b2, -x1 * a2, -x2 * b1, x2 * a1, a2 * b1, -a1 * b2))
+    except (ValueError, OverflowError):  # inf - inf, or a sum past the largest float
+        s = math.inf
+    if not math.isfinite(s):
+        raise SolveError(f"side test of {x} against the line through {a} and {b} overflows")
+    return s
 
 
 def _split_quantities(x: Point, c: DerivedConstants, p: Params):
-    """Sign-normalized coordinates of x against the two tangents from (1,1)."""
-    x1, x2 = x
+    """Sign-normalized coordinates of x against the two tangents from (1,1).
+
+    d_sign is x2 minus the height at x1 of the tangent through its anchors
+    U(1) and E(gamma_sign), read from side; e_sign compares x1 with the
+    touch point's.
+    """
+    one = (1.0, p.one2)  # U(1)
+    upper, lower = gammaq_point(c.gamma_plus, p), gammaq_point(c.gamma_minus, p)
     s1 = math.copysign(1.0, p.p1)
     s2 = math.copysign(1.0, p.p2)
-    slope_plus = (p.k2 / p.p1) * c.A  # A = Q**(-p2) * gamma_plus**(p2-p1)
-    slope_minus = tangent_slope(1.0, "-", c, p)
-    d_plus = s2 * (x2 - (slope_plus * (x1 - 1.0) + p.one2))
-    d_minus = s2 * (x2 - (slope_minus * (x1 - 1.0) + p.one2))
-    e_plus = s1 * (x1 - c.gamma_plus**p.p1)
-    e_minus = s1 * (x1 - c.gamma_minus**p.p1)
+    d_plus = -s2 * side(x, one, upper) / (upper[0] - 1.0)
+    d_minus = -s2 * side(x, one, lower) / (lower[0] - 1.0)
+    e_plus = s1 * (x[0] - upper[0])
+    e_minus = s1 * (x[0] - lower[0])
     return d_plus, d_minus, e_plus, e_minus
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import expand, solve
+from ._roots import expand, guarded, solve
 from .errors import DomainError, SolveError
 from .geometry import Point, Region, classify, in_domain
 from .params import DerivedConstants, Params
@@ -70,7 +70,7 @@ def tangent_residual(v: float, x: Point, c: DerivedConstants, p: Params) -> floa
     return c0 * x1 * v ** (p.p2 - p.p1) - c0 * v**p.p2 + p.power2(v) - x2
 
 
-def _tangent_slope(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
+def _tangent_residual_dv(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
     """d tangent_residual / dv."""
     c0 = (p.k2 / p.p1) * c.A
     return (c0 * (p.p2 - p.p1) * x[0] * v ** (p.p2 - p.p1 - 1.0)
@@ -159,11 +159,12 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
     v_hi = r
 
     f = lambda v: tangent_residual(v, x, c, p)
-    slope = lambda v: _tangent_slope(v, x, c, p)
+    df = lambda v: _tangent_residual_dv(v, x, c, p)
+    end = lambda v: (f(v), _tangent_scale(v, x, c, p))
 
-    f_lo, f_hi = f(v_lo), f(v_hi)
-    scale_lo = _tangent_scale(v_lo, x, c, p)
-    scale_hi = _tangent_scale(v_hi, x, c, p)
+    failure = "tangent residual overflows at an end of its bracket"
+    f_lo, scale_lo = guarded(end, v_lo, failure)
+    f_hi, scale_hi = guarded(end, v_hi, failure)
     if abs(f_lo) <= 1e-13 * scale_lo:
         return v_lo  # x on the extreme curve
     if abs(f_hi) <= 1e-13 * scale_hi:
@@ -175,7 +176,7 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
         # nearer curve, subject to the residual check below.
         v = v_lo if abs(f_lo) / scale_lo <= abs(f_hi) / scale_hi else v_hi
     else:
-        v = solve(f, slope, v_lo, v_hi, f_lo, f_hi, v0)
+        v = solve(f, df, v_lo, v_hi, f_lo, f_hi, v0)
 
     res = abs(f(v)) / _tangent_scale(v, x, c, p)
     if res > 1e-11:
@@ -195,7 +196,7 @@ def diagnostics(x: Point, region: Region, p: Params,
                 c: DerivedConstants) -> GradientDiagnostics:
     v = solve_v(x, region, p, c)
     upsilon = _chord_slope_log(v, x, p)
-    pi = -_tangent_slope(v, x, c, p) / (p.k2 * v**p.p2)
+    pi = -_tangent_residual_dv(v, x, c, p) / (p.k2 * v**p.p2)
     return GradientDiagnostics(upsilon=upsilon, pi=pi)
 
 

@@ -31,7 +31,7 @@ from .bellman import evaluate
 from .errors import DomainError, SolveError
 from .extremal import decompose
 from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
-                       segment_in_domain, tangent_slope)
+                       segment_in_domain)
 from .implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params, require_powers
 from .weights import apq_norm, step_weight
@@ -146,30 +146,28 @@ def _fd_hessian(x: Point, c: DerivedConstants, p: Params, step: float = 1e-4):
     return fxx, fxy, fyy
 
 
-def _boundary_points(c: DerivedConstants, p: Params, which: str, n: int):
-    """Points on an internal boundary, away from its endpoints.
+def _boundary_ends(c: DerivedConstants, p: Params, which: str) -> tuple[Point, Point]:
+    """Ends of an internal boundary segment: 'plus' (I/II) and 'minus' (II/III)
+    run between their tangent's anchors, U(1) and the touch point; 'iii_iv'
+    (III/IV) from the lower touch point to U(v_minus)."""
+    if which == "iii_iv":
+        return gammaq_point(c.gamma_minus, p), gamma1_point(c.v_minus, p)
+    return gamma1_point(1.0, p), gammaq_point(c.gamma_plus if which == "plus" else c.gamma_minus, p)
 
-    which: 'plus' (I/II tangent segment), 'minus' (II/III tangent segment),
-    'iii_iv' (III/IV tangent segment).
-    """
-    pts = []
-    one = gamma1_point(1.0, p)
-    for k in range(n):
-        s = (k + 0.5) / n * 0.9 + 0.05
-        if which == "plus":
-            a, bpt = one, gammaq_point(c.gamma_plus, p)
-        elif which == "minus":
-            a, bpt = one, gammaq_point(c.gamma_minus, p)
-        else:
-            a, bpt = gammaq_point(c.gamma_minus, p), gamma1_point(c.v_minus, p)
-        pts.append((a[0] + s * (bpt[0] - a[0]), a[1] + s * (bpt[1] - a[1])))
-    return pts
+
+def _boundary_points(c: DerivedConstants, p: Params, which: str, n: int):
+    """n points on an internal boundary segment, away from its ends."""
+    a, b = _boundary_ends(c, p, which)
+    return [(a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+            for s in ((k + 0.5) / n * 0.9 + 0.05 for k in range(n))]
 
 
 def _boundary_normal(c: DerivedConstants, p: Params, which: str) -> tuple[float, float]:
-    slope = tangent_slope(1.0, "+" if which == "plus" else "-", c, p)
-    nrm = math.hypot(slope, 1.0)
-    return (-slope / nrm, 1.0 / nrm)
+    """Unit normal of the tangent 'plus' or 'minus' from U(1), from its anchors."""
+    a, b = _boundary_ends(c, p, which)
+    d1, d2 = b[0] - a[0], b[1] - a[1]
+    nrm = math.hypot(d1, d2)
+    return (-d2 / nrm, d1 / nrm)
 
 
 _EPS = 2.2e-16

@@ -178,12 +178,10 @@ def test_affine_along_extremal_lines():
             assert abs(bv(t + 0.02) - 2 * bv(t) + bv(t - 0.02)) <= 1e-7
         x = random_in_region(rng, c, p, Region.IV, 1)[0]
         v = solve_v_IV(x, c, p)
-        from apq import tangent_line
-        line = tangent_line(v, "+", c, p)
-        lo, hi = sorted((v**p.p1, (c.gamma_plus * v) ** p.p1))
-        mid, h = 0.5 * (lo + hi), 0.05 * (hi - lo)
-        bv = lambda x1: evaluate((x1, line.at(x1)), c, p).value
-        assert abs(bv(mid + h) - 2 * bv(mid) + bv(mid - h)) <= 1e-7
+        a, b = gamma1(v, p), gammaq_point(c.gamma_plus * v, p)
+        bv = lambda t: evaluate((a[0] + t * (b[0] - a[0]),
+                                 a[1] + t * (b[1] - a[1])), c, p).value
+        assert abs(bv(0.55) - 2 * bv(0.5) + bv(0.45)) <= 1e-7
 
 
 def test_a2_equivalence(a2_setup):

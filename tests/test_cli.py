@@ -1,11 +1,16 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from apq import (DomainError, Params, apq_norm, build, check_majorization,
                  derive_constants, evaluate_lambda, oracle_max, step_weight)
 from apq.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "apqbench"))
+from reference import Reference  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +78,51 @@ def test_scan_near_extreme_curve(capsys, q):
     lines = out.strip().split("\n")[1:]
     assert len(lines) == 64 * 64
     assert all(0.0 <= float(line.split(",")[3]) <= 1.0 for line in lines)
+
+
+def test_scan_of_an_extreme_class_matches_reference(capsys):
+    # Many grid points have tiny coordinates, within rounding of a tangent
+    # line through (1, 1) held as a slope; such a scan once exited 2.  The
+    # reference cannot polish its roots at some points: their count is pinned
+    # so that the comparison cannot quietly shrink.
+    code, out = run_cli(capsys, "scan", "--p1", "5", "--p2", "4", "--q", "100",
+                        "--grid", "64")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 64 * 64
+    ref = Reference(5.0, 4.0, 100.0)
+    raised = 0
+    for row in rows:
+        x1, x2, _, b = row.split(",")
+        try:
+            want = float(ref.bound(float(x1), float(x2)))
+        except ArithmeticError:
+            raised += 1
+            continue
+        assert abs(float(b) - want) <= 1e-12, row
+    assert raised == 435
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--p1", "-5", "--p2", "-6", "--q", "10000", "--x1", "1e150", "--x2", "1e192"],
+    ["eval", "--p1", "-4", "--p2", "-4.05", "--q", "5",
+     "--x1", "1e200", "--x2", "6.068520896724775e+202"],
+    ["extremal", "--p1", "1.25", "--p2", "1.24", "--q", "1.2",
+     "--x1", "1e75", "--x2", "2.2434047105984066e+74"],
+])
+def test_residual_faults_keep_the_exit_contract(capsys, argv):
+    # Valid points where a residual overflows, or meets inf - inf in fsum, at
+    # a bracket end: the CLI once ended with a traceback (exit 1).
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    if code == 2:
+        assert "error" in doc
+        return
+    assert code == 0
+    cls = [float(argv[k]) for k in (2, 4, 6)]
+    want = float(Reference(*cls).bound(float(argv[8]), float(argv[10])))
+    got = doc["value"] if argv[0] == "eval" else doc["attainment"]["bound"]
+    assert abs(got - want) <= 1e-9
 
 
 def test_determinism(capsys):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from apq import (DomainError, Region, apq_norm, build, classify, cutoff_above,
+from apq import (DomainError, Region, Weight, apq_norm, build, classify, cutoff_above,
                  distribution, evaluate, moment)
-from apq.extremal import decompose, extended_iv_weight, region1_chord, region2_segment
+from apq.extremal import (_boundary_iv_pieces, _tangent_mix, decompose, region1_chord,
+                          region2_segment)
 from apq.geometry import gamma1_point, segment_log_ratio_range
+from apq.verify import sample_region_point
 from apq.weights import PowerPiece
 
 from conftest import CASES, gamma1, random_in_region, setup
@@ -113,7 +115,8 @@ def test_glue_equals_cutoff_of_extended_profile():
         p, c = setup(p1, p2)
         for x in random_in_region(rng, c, p, Region.IV, 10):
             w, plan = build(x, c, p)
-            ext, v = extended_iv_weight(x, c, p)
+            v = plan.data["v"]
+            ext = Weight(tuple(_boundary_iv_pieces(v, c, p, _tangent_mix(x, v, c, p), 1.0)))
             cut = cutoff_above(ext, v)
             assert [q.lo for q in cut.pieces] == pytest.approx(
                 [q.lo for q in w.pieces], abs=1e-12)
@@ -178,6 +181,23 @@ def test_region_ii_lengths_solve_moment_system():
                 plan = build(x, c, p)[1].data
                 assert plan["lam"] + (1.0 - plan["lam"]) * plan["mu_minus"] == pytest.approx(
                     evaluate(x, c, p).value, abs=1e-12)
+
+
+@pytest.mark.parametrize("cls", [(5.0, 4.0, 3.0), (6.0, 5.5, 2.0), (5.0, 4.0, 100.0),
+                                 (-2.0, -6.0, 1000.0)])
+def test_region_ii_builds_at_tiny_coordinates_of_extreme_classes(cls):
+    # Most of these points have tiny coordinates.  With the tangent lines held
+    # as slopes through (1, 1), 10 to 116 of the 200 were classified II from
+    # outside the triangle, or had lengths that missed the moments.
+    p, c = setup(*cls)
+    rng = np.random.default_rng(1)
+    points = [sample_region_point(rng, c, p, Region.II) for _ in range(200)]
+    if cls == (6.0, 5.5, 2.0):
+        points.append((2.635591744848398e-11, 2.635591744848398e-11))
+    for x in points:
+        w, plan = build(x, c, p)
+        assert plan.region == Region.II
+        assert abs(distribution(w, 1.0) - evaluate(x, c, p).value) <= 1e-12
 
 
 def test_sliver_chord_stays_inside():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from apq import DomainError, Region, classify, in_domain, tangent_line
+from apq import DomainError, Region, SolveError, classify, in_domain
 from apq.geometry import (gamma1_point, gammaq_point, log_ratio, on_gamma1, on_gammaq,
-                          segment_in_domain, segment_log_ratio_range)
+                          segment_in_domain, segment_log_ratio_range, side)
 
 from conftest import CASES, random_in_domain, setup
 
@@ -20,49 +20,70 @@ def test_in_domain_examples(a2_setup):
         in_domain((math.nan, 1.0), p)
 
 
+def _tangent_anchors(v, gamma, p):
+    """The tangent from U(v) to the extreme curve, as its anchors: U(v) and
+    the touch point E(gamma*v)."""
+    return gamma1_point(v, p), gammaq_point(gamma * v, p)
+
+
+def _sine(x, a, b):
+    """side(x, a, b) over |x - a| |b - a|: the sine of the angle at a."""
+    return side(x, a, b) / (math.hypot(x[0] - a[0], x[1] - a[1])
+                            * math.hypot(b[0] - a[0], b[1] - a[1]))
+
+
 def test_tangent_line_examples(a2_setup):
+    # In the class (1, -1) the tangents from U(1) have slopes -Q/gamma**2:
+    # -v_minus for the upper one, -2/gamma_minus**2 for the lower one.
     p, c = a2_setup
-    plus = tangent_line(1.0, "+", c, p)
-    assert abs(plus.slope - (-c.v_minus)) <= 1e-12          # -Q/gamma_plus**2
-    assert abs(plus.intercept - (1.0 - plus.slope)) <= 1e-12
-    minus = tangent_line(1.0, "-", c, p)
-    assert abs(minus.slope - (-2.0 / c.gamma_minus**2)) <= 1e-12
-    assert abs(minus.at(1.0) - 1.0) <= 1e-12
+    for gamma, slope in ((c.gamma_plus, -c.v_minus), (c.gamma_minus, -2.0 / c.gamma_minus**2)):
+        one, touch = _tangent_anchors(1.0, gamma, p)
+        assert one == (1.0, 1.0)
+        for t in (-0.5, 0.5, 2.0):
+            assert abs(_sine((1.0 + t, 1.0 + slope * t), one, touch)) <= 1e-12
 
 
 def test_tangent_touch_and_base_points():
+    # The line through U(v) and E(gamma_sign*v) meets the unit curve again at
+    # U(v*v_plus) for the upper tangent and at U(v*v_minus) for the lower one.
     rng = np.random.default_rng(3)
     for p1, p2 in CASES:
         p, c = setup(p1, p2)
         for _ in range(100):
             v = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-            for sign, gamma in (("+", c.gamma_plus), ("-", c.gamma_minus)):
-                line = tangent_line(v, sign, c, p)
-                bx, by = gamma1_point(v, p)
-                assert abs(line.at(bx) - by) <= 1e-12 * max(1.0, abs(by))
-                tx, ty = gammaq_point(gamma * v, p)
-                assert abs(line.at(tx) - ty) <= 1e-10 * max(1.0, abs(ty))
+            for gamma, w in ((c.gamma_plus, c.v_plus), (c.gamma_minus, c.v_minus)):
+                a, b = _tangent_anchors(v, gamma, p)
+                assert side(a, a, b) == 0.0 and side(b, a, b) == 0.0
+                assert abs(_sine(gamma1_point(v * w, p), a, b)) <= 1e-10
+        # v = 1: the second crossings are the parameters' v_plus and v_minus.
+        for gamma, w in ((c.gamma_plus, c.v_plus), (c.gamma_minus, c.v_minus)):
+            assert abs(_sine(gamma1_point(w, p), *_tangent_anchors(1.0, gamma, p))) <= 1e-12
 
 
 def test_tangency_double_root():
-    # Extreme curve minus tangent line has value and first derivative ~ 0 at
-    # the touch point (finite differences).
+    # Along the extreme curve E(gamma*v*exp(h)), side vanishes to second
+    # order at h = 0 (it quarters when h halves), and it has one sign on both
+    # sides of the touch point: the line is tangent there.
     rng = np.random.default_rng(4)
     for p1, p2 in CASES:
         p, c = setup(p1, p2)
         for _ in range(100):
             v = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
-            sign = "+" if rng.uniform() < 0.5 else "-"
-            gamma = c.gamma_plus if sign == "+" else c.gamma_minus
-            line = tangent_line(v, sign, c, p)
-            curve = lambda x1: p.q ** (-p.p2) * x1 ** (p.p2 / p.p1)
-            gap = lambda x1: curve(x1) - line.at(x1)
-            t = (gamma * v) ** p.p1
-            h = 1e-4 * abs(t)
-            assert abs(gap(t)) <= 1e-6 * max(1.0, abs(curve(t)))
-            assert abs((gap(t + h) - gap(t - h)) / (2 * h)) <= 1e-6 * max(
-                1.0, abs(curve(t) / t))
-            assert gap(t + 50 * h) * gap(t - 50 * h) > 0.0  # same side: tangent
+            gamma = c.gamma_plus if rng.uniform() < 0.5 else c.gamma_minus
+            a, b = _tangent_anchors(v, gamma, p)
+            at = lambda h: side(gammaq_point(gamma * v * math.exp(h), p), a, b)
+            for h in (1e-3, -1e-3):
+                assert abs(at(h) / at(2.0 * h) - 0.25) <= 1e-2
+            signs = {math.copysign(1.0, at(h)) for h in (-1.0, -0.1, -1e-3, 1e-3, 0.1, 1.0)}
+            assert len(signs) == 1
+
+
+def test_side_overflow_is_solve_error():
+    # Products past the largest float: one alone, and two meeting as inf - inf.
+    for x, a, b in [((1.0, 2.0), (0.0, 0.0), (1e308, 1e308)),
+                    ((1e300, 1e300), (0.0, 0.0), (1e10, 1e10))]:
+        with pytest.raises(SolveError):
+            side(x, a, b)
 
 
 def test_classify_examples(a2_setup):
@@ -83,18 +104,39 @@ def test_region_cover():
             assert classify(x, c, p) in (Region.I, Region.II, Region.III, Region.IV)
 
 
+def _exactly_on(a, b, s):
+    """A point within a few ulps of a + s*(b - a) where side(x, a, b) is 0
+    exactly."""
+    x1, x2 = a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])
+    for k in range(64):
+        for j in range(-8, 9):
+            for kk in (k, -k):
+                x = (x1 + j * math.ulp(x1), x2 + kk * math.ulp(x2))
+                if side(x, a, b) == 0.0:
+                    return x
+    raise AssertionError(f"no point exactly on the line near s = {s}")
+
+
 def test_boundary_tie_breaks(a2_setup):
     p, c = a2_setup
-    # On the upper tangent segment (strictly between base and touch): II.
-    line = tangent_line(1.0, "+", c, p)
-    x1 = 1.0 + 0.5 * (c.gamma_plus**p.p1 - 1.0)
-    assert classify((x1, line.at(x1)), c, p) == Region.II
-    # On the lower tangent: III, both on its II-facing and IV-facing segments.
-    line = tangent_line(1.0, "-", c, p)
-    x1 = 1.0 + 0.5 * (c.gamma_minus**p.p1 - 1.0)
-    assert classify((x1, line.at(x1)), c, p) == Region.III
-    x1 = c.gamma_minus**p.p1 + 0.5 * (c.v_minus**p.p1 - c.gamma_minus**p.p1)
-    assert classify((x1, line.at(x1)), c, p) == Region.III
+    one = gamma1_point(1.0, p)
+    # On the upper tangent, strictly between base and touch point, and at the
+    # touch point: II.
+    upper = gammaq_point(c.gamma_plus, p)
+    for x in [_exactly_on(one, upper, s) for s in (0.25, 0.5, 0.75)] + [upper]:
+        assert side(x, one, upper) == 0.0
+        assert classify(x, c, p) == Region.II
+    # On the lower tangent: III, both on its II-facing (s < 1) and IV-facing
+    # (s > 1) segments, and at the touch point between them.
+    lower = gammaq_point(c.gamma_minus, p)
+    for x in [_exactly_on(one, lower, s) for s in (0.25, 0.5, 1.25, 1.5)] + [lower]:
+        assert side(x, one, lower) == 0.0
+        assert classify(x, c, p) == Region.III
+    # The touch points keep their tags in every sign case.
+    for p1, p2 in CASES:
+        q, cq = setup(p1, p2)
+        assert classify(gammaq_point(cq.gamma_plus, q), cq, q) == Region.II
+        assert classify(gammaq_point(cq.gamma_minus, q), cq, q) == Region.III
 
 
 def test_curve_membership_queries(a2_setup):

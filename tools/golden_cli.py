@@ -66,6 +66,17 @@ REGION_II_EXTREME = [
     ("0.5_-3_200_II", ("0.5", "-3", "200"), (14.51102042850678, 0.4719008602477527)),
 ]
 
+# Valid inputs whose residuals once raised OverflowError or fsum's
+# "-inf + inf" ValueError out of the CLI.
+LEAKS = {
+    "eval_leak_overflow": ["eval", "--p1", "-5", "--p2", "-6", "--q", "10000",
+                           "--x1", "1e150", "--x2", "1e192"],
+    "eval_leak_fsum": ["eval", "--p1", "-4", "--p2", "-4.05", "--q", "5",
+                       "--x1", "1e200", "--x2", "6.068520896724775e+202"],
+    "extremal_leak_fsum": ["extremal", "--p1", "1.25", "--p2", "1.24", "--q", "1.2",
+                           "--x1", "1e75", "--x2", "2.2434047105984066e+74"],
+}
+
 # A step weight of norm 3.18 that the oracle once accepted at Q = 2.4716...
 FOUND_Q = "2.4716171030618224"
 FOUND_X = ("0.9722935503136965", "1.6815535661615362")
@@ -115,6 +126,15 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
                                 *_at((1.4361088697914278e-92, 2.5047579553392338e-74))]
     for name, (p1, p2, q), x in REGION_II_EXTREME:
         inv[f"extremal_{name}"] = ["extremal", *_cls(p1, p2, q), *_at(x)]
+    # Tiny coordinates of extreme classes, where a tangent line through (1, 1)
+    # held as a slope cannot resolve the region split: grid points within
+    # rounding of the lines, and a region-II point next to the origin.
+    inv["scan_5_4_100"] = ["scan", *_cls("5", "4", "100"), "--grid", "64"]
+    inv["extremal_6_5.5_2_II_tiny"] = ["extremal", *_cls("6", "5.5", "2"),
+                                       *_at((2.635591744848398e-11, 2.635591744848398e-11))]
+    # Valid points whose residuals overflow or meet inf - inf in fsum.
+    for name, argv in LEAKS.items():
+        inv[name] = argv
     inv["verify_concavity"] = ["verify-concavity", *_cls("1", "-1"),
                                "--n-interior", "50", "--n-boundary", "20"]
     inv["verify_oracle"] = ["verify-oracle", *_cls("1", "-1"), "--x1", "0.75", "--x2", "1.5"]
