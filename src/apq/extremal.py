@@ -24,10 +24,13 @@ Per region (threshold 1):
 
 decompose is the one split of a point into unit-curve steps, in every region
 and on the unit curve; build lays those steps out on [0, 1] in regions I-III,
-and the dyadic majorization campaign closes its leaves with them.  Region
-IV's steps are a tangent split, not an extremal weight: build takes only
-their v.  Every construction verifies its own moments before returning, and
-every region-I chord passes the exact segment test geometry.segment_in_domain.
+and the dyadic majorization campaign closes its leaves with them.  It reads
+the region, and in regions III and IV the value and v, from the point's
+bellman.evaluate result: the campaign passes the one it already has, build
+passes none and decompose evaluates the point itself.  Region IV's steps are
+a tangent split, not an extremal weight: build takes only their v.  Every
+construction verifies its own moments before returning, and every region-I
+chord passes the exact segment test geometry.segment_in_domain.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ import math
 from dataclasses import dataclass
 
 from ._roots import guarded, solve
-from .bellman import _value_III
-from .errors import DomainError, SolveError
-from .geometry import (Point, Region, gamma1_point, in_domain, on_gamma1, on_gammaq,
-                       region_of, segment_in_domain, side)
-from .implicit_v import _chord_crossing, solve_v_III, solve_v_IV
+from .bellman import BellmanValue, evaluate
+from .errors import SolveError
+from .geometry import (Point, Region, gamma1_point, on_gamma1, on_gammaq, segment_in_domain,
+                       side)
+from .implicit_v import _chord_crossing
 from .params import DerivedConstants, Params, require_powers
 from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
 
@@ -138,24 +141,30 @@ def region2_segment(x: Point, c: DerivedConstants,
     return l1, l2, l3
 
 
-def decompose(x: Point, c: DerivedConstants,
-              p: Params) -> tuple[Region, list[tuple[float, float]]]:
+def decompose(x: Point, c: DerivedConstants, p: Params,
+              at: BellmanValue | None = None) -> tuple[Region, list[tuple[float, float]]]:
     """x's region and its split into unit-curve steps [(length, value)].
 
     On the unit curve one step; in region I region1_chord's (mu, u),
     (1 - mu, v); in region II region2_segment's lengths on (v_minus, 1,
-    v_plus), in that order; in region III solve_v_III's chord through U(1),
-    (mu, 1), (1 - mu, v).  In region IV x rides its tangent line out to the
-    second unit-curve crossing at v/v_minus: (th, v/v_minus), (1 - th, v).
+    v_plus), in that order; in region III the chord through U(1), (mu, 1),
+    (1 - mu, v), with mu = B(x).  In region IV x rides its tangent line out to
+    the second unit-curve crossing at v/v_minus: (th, v/v_minus), (1 - th, v).
     That split is not extremal (the extremal weight has a power tail), and
-    build reads only its v.  Raises DomainError outside the domain.
+    build reads only its v.
+
+    at is evaluate(x, c, p), passed by a caller that already has it (the
+    majorization tree evaluates every node); build passes none and
+    decompose evaluates x itself.  Its domain test, region, value and v are
+    the only ones used, so nothing is classified or solved twice.  Raises
+    DomainError outside the domain.
     """
     require_powers(p, "decompose")
-    if not in_domain(x, p):
-        raise DomainError(f"point {x} outside the moment domain")
+    if at is None:
+        at = evaluate(x, c, p)
     if on_gamma1(x, p):
         return Region.GAMMA1, [(1.0, math.exp(math.log(x[0]) / p.p1))]
-    region = region_of(x, c, p)
+    region = at.region
     if region == Region.I:
         u, v, mu = region1_chord(x, c, p)
         return region, [(mu, u), (1.0 - mu, v)]
@@ -163,10 +172,9 @@ def decompose(x: Point, c: DerivedConstants,
         l1, l2, l3 = region2_segment(x, c, p)
         return region, [(l1, c.v_minus), (l2, 1.0), (l3, c.v_plus)]
     if region == Region.III:
-        v = solve_v_III(x, p)
-        mu = min(max(_value_III(x, v, p), 0.0), 1.0)
-        return region, [(mu, 1.0), (1.0 - mu, v)]
-    v = solve_v_IV(x, c, p)
+        mu = min(max(at.value, 0.0), 1.0)
+        return region, [(mu, 1.0), (1.0 - mu, at.v)]
+    v = at.v
     v2 = v / c.v_minus
     lo, hi = v**p.p1, v2**p.p1
     th = min(max((x[0] - lo) / (hi - lo), 0.0), 1.0)

@@ -71,6 +71,17 @@ def in_domain(x: Point, p: Params, slack: float = 1e-12) -> bool:
     return -s <= r <= lq + s
 
 
+def _stationary_log_ratio(a: Point, b: Point, p: Params) -> float | None:
+    """log_ratio at the one interior extremum of the segment from a to b, if any."""
+    d1, d2 = b[0] - a[0], b[1] - a[1]
+    if d1 * d2 != 0.0:
+        s = ((d2 * p.p1 * a[0] - d1 * p.p2 * a[1] - d1 * (1.0 - p.one2))
+             / (d1 * d2 * (p.p2 - p.p1)))
+        if 0.0 < s < 1.0:
+            return log_ratio((a[0] + s * d1, a[1] + s * d2), p)
+    return None
+
+
 def segment_log_ratio_range(a: Point, b: Point, p: Params) -> tuple[float, float]:
     """(min, max) of log_ratio along the segment from a to b, exactly.
 
@@ -81,23 +92,23 @@ def segment_log_ratio_range(a: Point, b: Point, p: Params) -> tuple[float, float
     D1*D2 = 0 the ratio is monotone and the endpoints suffice.
     """
     vals = [log_ratio(a, p), log_ratio(b, p)]
-    d1, d2 = b[0] - a[0], b[1] - a[1]
-    if d1 * d2 != 0.0:
-        s = ((d2 * p.p1 * a[0] - d1 * p.p2 * a[1] - d1 * (1.0 - p.one2))
-             / (d1 * d2 * (p.p2 - p.p1)))
-        if 0.0 < s < 1.0:
-            vals.append(log_ratio((a[0] + s * d1, a[1] + s * d2), p))
+    mid = _stationary_log_ratio(a, b, p)
+    if mid is not None:
+        vals.append(mid)
     return min(vals), max(vals)
 
 
 def segment_in_domain(a: Point, b: Point, p: Params, slack: float = 1e-12) -> bool:
-    """Whole segment [a, b] inside the moment domain, with in_domain's slack."""
+    """Whole segment [a, b] inside the moment domain, with in_domain's slack.
+
+    in_domain has tested both ends, so of segment_log_ratio_range only the
+    interior extremum is left to test."""
     if not (in_domain(a, p, slack) and in_domain(b, p, slack)):
         return False
-    lo, hi = segment_log_ratio_range(a, b, p)
+    mid = _stationary_log_ratio(a, b, p)
     lq = math.log(p.q)
     s = slack * max(1.0, lq)
-    return -s <= lo and hi <= lq + s
+    return mid is None or -s <= mid <= lq + s
 
 
 def on_gamma1(x: Point, p: Params, tol: float = 1e-12) -> bool:

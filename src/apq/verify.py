@@ -16,6 +16,8 @@ normalized excess over the stated tolerances is <= 0):
   the domain, closed at the leaves with exact unit-curve decompositions
   (extremal.decompose); every generated step weight must satisfy
   |{w >= 1}| <= B(moments(w)) and every recorded split the chord inequality.
+  Each tree node is evaluated once, and a leaf is decomposed from its
+  node's value, so no region or implicit parameter is found twice.
 * check_dv_signs: the monotonicity diagnostics of the implicit parameter.
 """
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import evaluate
+from .bellman import BellmanValue, evaluate
 from .errors import DomainError, SolveError
 from .extremal import decompose
 from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
@@ -416,6 +418,16 @@ def _random_split(x: Point, p: Params, rng: np.random.Generator):
 def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
                        seed: int = 7, depth: int = 8,
                        tol: float = 1e-9) -> VerifyReport:
+    """Chord inequality at every split of random dyadic trees, and the bound
+    at the step weight their leaves make.
+
+    Each tree starts at a sampled root and splits each node along a random
+    chord inside the domain, depth times.  A node's BellmanValue is computed
+    once, by its parent (the root's before the tree), and serves both the
+    chord test at its own split and, at a leaf, extremal.decompose, which
+    reads its region, value and v.  So there are two evaluate calls per
+    sample: a split's two children, or a tree's root and its final weight.
+    """
     require_powers(p, "check_majorization")
     if n_weights < 1 or depth < 0:
         raise DomainError("check_majorization needs n_weights >= 1 and depth >= 0, "
@@ -430,39 +442,38 @@ def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
                             r_hi=2.0 * c.v_plus)
         segments: list[tuple[float, float, float]] = []  # (lo, hi, value)
 
-        def emit_leaf(x: Point, lo: float, hi: float) -> None:
+        def emit_leaf(x: Point, bx: BellmanValue, lo: float, hi: float) -> None:
             span = hi - lo
             pos = lo
-            for frac, val in decompose(x, c, p)[1]:
+            for frac, val in decompose(x, c, p, bx)[1]:
                 if frac > 0.0:
                     nxt = pos + frac * span
                     segments.append((pos, nxt, val))
                     pos = nxt
 
-        def grow(x: Point, lo: float, hi: float, level: int):
+        def grow(x: Point, bx: BellmanValue, lo: float, hi: float, level: int):
             nonlocal worst, samples
             if level == 0:
-                emit_leaf(x, lo, hi)
+                emit_leaf(x, bx, lo, hi)
                 return
             split = _random_split(x, p, rng)
             if split is None:
-                emit_leaf(x, lo, hi)
+                emit_leaf(x, bx, lo, hi)
                 return
             alpha, xm, xp = split
-            bx = evaluate(x, c, p).value
-            bm = evaluate(xm, c, p).value
-            bp = evaluate(xp, c, p).value
+            bm = evaluate(xm, c, p)
+            bp = evaluate(xp, c, p)
             samples += 1
-            exc = alpha * bm + (1.0 - alpha) * bp - bx - tol
+            exc = alpha * bm.value + (1.0 - alpha) * bp.value - bx.value - tol
             if exc > worst:
                 worst = exc
             if exc > 0.0:
                 _record(details, x, exc, "chord-split")
             mid = lo + alpha * (hi - lo)
-            grow(xm, lo, mid, level - 1)
-            grow(xp, mid, hi, level - 1)
+            grow(xm, bm, lo, mid, level - 1)
+            grow(xp, bp, mid, hi, level - 1)
 
-        grow(root, 0.0, 1.0, depth)
+        grow(root, evaluate(root, c, p), 0.0, 1.0, depth)
 
         total_above = sum(hi - lo for lo, hi, val in segments if val >= 1.0)
         m1 = sum((hi - lo) * val**p.p1 for lo, hi, val in segments)

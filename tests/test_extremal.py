@@ -222,3 +222,18 @@ def test_sliver_chord_stays_inside():
                 assert hi <= lq + 1e-12 * max(1.0, lq)
                 w, _ = build(x, c, p)
                 assert distribution(w, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("cls", [(1.0, -1.0), (2.0, 1.0), (-0.5, -2.0), (2.0, -1.0)])
+def test_decompose_from_value_equals_default(cls):
+    # A caller that already holds evaluate(x) gets exactly the split that
+    # decompose finds by evaluating x itself.
+    p, c = setup(*cls)
+    rng = np.random.default_rng(13)
+    points = [gamma1(v, p) for v in (0.4, 0.9, 1.0, 1.7)]
+    for region in (Region.I, Region.II, Region.III, Region.IV):
+        points += random_in_region(rng, c, p, region, 6)
+    for x in points:
+        assert decompose(x, c, p, evaluate(x, c, p)) == decompose(x, c, p)
+    with pytest.raises(DomainError, match="outside the moment domain"):
+        decompose((1.0, 0.25**p.p2), c, p)  # log_ratio = log 4 > log Q

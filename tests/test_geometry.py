@@ -190,3 +190,46 @@ def test_segment_in_domain_edge_inputs(a2_setup):
     assert not segment_in_domain((1.0, 1.0), (3.0, 1.0), p)  # ends outside
     with pytest.raises(DomainError):
         segment_in_domain((1.0, 1.0), (math.inf, 1.0), p)
+
+
+def _segment_in_domain_by_ends(a, b, p, slack):
+    # in_domain at both ends, then the exact range against the same window.
+    if not (in_domain(a, p, slack) and in_domain(b, p, slack)):
+        return False
+    lo, hi = segment_log_ratio_range(a, b, p)
+    lq = math.log(p.q)
+    s = slack * max(1.0, lq)
+    return -s <= lo and hi <= lq + s
+
+
+def test_segment_in_domain_equals_end_tests_and_range():
+    # Reading each end's log_ratio once changes no answer: ends inside and
+    # outside the domain, ends with a non-positive moment, and a non-finite
+    # end, which raises whenever the end tests reach it.
+    rng = np.random.default_rng(21)
+    seen = {True: 0, False: 0, DomainError: 0}
+    for p1, p2 in SIGN_CASES:
+        p, c = setup(p1, p2, 3.0)
+        for k in range(120):
+            a, b = random_in_domain(rng, c, p, 2)
+            kind = k % 6
+            if kind == 1:  # an end past either curve
+                b = (b[0] * rng.uniform(0.3, 3.0), b[1])
+            elif kind == 2:  # a non-positive moment
+                b = (b[0], -rng.uniform(0.0, 1.0) * b[1]) if k % 12 == 2 else (0.0, b[1])
+            elif kind == 3:  # a non-finite end
+                b = (math.nan, b[1]) if k % 12 == 3 else (b[0], math.inf)
+            if rng.uniform() < 0.5:
+                a, b = b, a
+            for slack in (0.0, 1e-12, 1e-10):
+                try:
+                    want = _segment_in_domain_by_ends(a, b, p, slack)
+                except DomainError:
+                    want = DomainError
+                if want is DomainError:
+                    with pytest.raises(DomainError):
+                        segment_in_domain(a, b, p, slack)
+                else:
+                    assert segment_in_domain(a, b, p, slack) is want
+                seen[want] += 1
+    assert min(seen.values()) >= 50

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import apq.extremal as extremal
+import apq.implicit_v as implicit_v
+import apq.verify as verify
 from apq import (DomainError, Params, Region, apq_norm, build, check_concavity,
                  check_dv_signs, check_majorization, derive_constants, distribution,
                  evaluate, oracle_max, step_weight)
@@ -211,6 +214,46 @@ def test_leaf_near_zero_hits_both_moments():
     assert region == Region.IV
     for k, xk in ((p.p1, x[0]), (p.p2, x[1])):
         assert abs(sum(length * v**k for length, v in steps) - xk) <= 1e-9 * xk
+
+
+def test_majorization_evaluates_each_node_once(monkeypatch):
+    # Each split evaluates its two children, and each tree its root and its
+    # final weight; the leaves are decomposed from their node's value.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(verify, "evaluate", counted)
+    monkeypatch.setattr(extremal, "evaluate", counted)
+    for p1, p2 in CASES:
+        p, c = setup(p1, p2)
+        calls = 0
+        rep = check_majorization(c, p, n_weights=5, depth=6)
+        assert rep.passed
+        assert calls == 2 * rep.samples
+
+
+def test_decompose_from_value_solves_nothing(monkeypatch):
+    # In regions III and IV the step values come from the passed value's v:
+    # with the root solver broken, decompose still returns the same split.
+    def broken(*args):
+        raise AssertionError("implicit_v.solve called")
+
+    rng = np.random.default_rng(17)
+    for p1, p2 in CASES:
+        p, c = setup(p1, p2)
+        for region in (Region.III, Region.IV):
+            for x in random_in_region(rng, c, p, region, 5):
+                at = evaluate(x, c, p)
+                want = decompose(x, c, p)
+                with monkeypatch.context() as m:
+                    m.setattr(implicit_v, "solve", broken)
+                    assert decompose(x, c, p, at) == want
+                    with pytest.raises(AssertionError):
+                        decompose(x, c, p)
 
 
 def test_majorization_depth_zero(a2_setup):
