@@ -184,7 +184,7 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
     return v
 
 
-def solve_v(x: Point, region: Region, p: Params, c: DerivedConstants) -> float:
+def _solve_v(x: Point, region: Region, p: Params, c: DerivedConstants) -> float:
     if region == Region.III:
         return solve_v_III(x, p)
     if region == Region.IV:
@@ -194,7 +194,7 @@ def solve_v(x: Point, region: Region, p: Params, c: DerivedConstants) -> float:
 
 def diagnostics(x: Point, region: Region, p: Params,
                 c: DerivedConstants) -> GradientDiagnostics:
-    v = solve_v(x, region, p, c)
+    v = _solve_v(x, region, p, c)
     upsilon = _chord_slope_log(v, x, p)
     pi = -_tangent_residual_dv(v, x, c, p) / (p.k2 * v**p.p2)
     return GradientDiagnostics(upsilon=upsilon, pi=pi)
@@ -221,7 +221,7 @@ def dv_sign_check(x: Point, region: Region, p: Params, c: DerivedConstants) -> b
             xm = (x1 - h, x2) if coord == 0 else (x1, x2 - h)
             if (in_domain(xp, p) and in_domain(xm, p)
                     and classify(xp, c, p) == region and classify(xm, c, p) == region):
-                return (solve_v(xp, region, p, c) - solve_v(xm, region, p, c)) / (2.0 * h)
+                return (_solve_v(xp, region, p, c) - _solve_v(xm, region, p, c)) / (2.0 * h)
             h *= 1e-2
         raise SolveError(f"finite-difference step keeps crossing a boundary at x={x}")
 

@@ -97,6 +97,15 @@ def _power_integral(coef: float, a: float, b: float, k: float) -> float:
     return coef * a**k * (r if k == 0.0 else math.expm1(k * r) / k)
 
 
+def _scaled(x1: float, k: float, value: float) -> float:
+    """x1**k * value for value >= 0, through logs only where x1**k overflows
+    (the product may still be representable)."""
+    try:
+        return x1**k * value
+    except OverflowError:
+        return math.exp(k * math.log(x1) + math.log(value)) if value > 0.0 else 0.0
+
+
 def _tail(q: float, alpha: float, s_max: float, x1: float = 1.0) -> float:
     """(1+alpha) * integral_{x1/gamma_minus}^{s_max} s**alpha * B(x1/s, x2*s) ds,
     the region-IV piece at the point x = (x1, Q/x1).  s = x1*t scales it to
@@ -108,7 +117,7 @@ def _tail(q: float, alpha: float, s_max: float, x1: float = 1.0) -> float:
         return 0.0
     a0 = alpha0(q)
     coef = (1.0 + alpha) * tail_envelope_constant(q) * q ** (-1.0 - a0)
-    return x1 ** (1.0 + alpha) * _power_integral(coef, s0, sigma, alpha - a0)
+    return _scaled(x1, 1.0 + alpha, _power_integral(coef, s0, sigma, alpha - a0))
 
 
 def _sheet_dip(alpha: float, span: float) -> float:
@@ -147,7 +156,7 @@ def _layer_cake(q: float, alpha: float, s_max: float, x1: float = 1.0) -> float:
         # 1 + b2*gamma_minus*(tau - 1)**2/tau, tau = t/lo (a2 = v_minus*b2,
         # c2 = 1 - a2 - b2, gamma_minus*gamma_plus = Q, gamma_minus + gamma_plus = 2Q).
         total = b**k + k * c.b2 * c.gamma_minus * lo**k * _sheet_dip(alpha, span)
-    return x1**k * (total + _tail(q, alpha, sigma))
+    return _scaled(x1, k, total + _tail(q, alpha, sigma))
 
 
 def rh_constant(q: float, alpha: float, x: Point | None = None) -> RHResult:
@@ -164,7 +173,7 @@ def rh_constant(q: float, alpha: float, x: Point | None = None) -> RHResult:
 
 def _at_point(part, q: float, alpha: float, s_max: float, x: Point | None) -> float:
     """part(q, alpha, s_max, x1): the integral at the point x.  SolveError when
-    a power overflows."""
+    it overflows."""
     x1 = _check(q, alpha, s_max, x)
     try:
         return part(q, alpha, s_max, x1)

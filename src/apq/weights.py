@@ -13,6 +13,7 @@ across verification threads is safe.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -259,10 +260,54 @@ def _candidate_points(w: Weight, resolution: int) -> np.ndarray:
     return np.array(sorted(pts))
 
 
-def _ratio(w: Weight, p: Params, alpha: float, beta: float) -> float:
-    m1 = moment(w, p.p1, (alpha, beta))
-    m2 = moment(w, p.p2, (alpha, beta))
-    return math.exp(math.log(m1) / p.p1 - math.log(m2) / p.p2)
+def _piece_table(w: Weight, p: Params) -> list[tuple[float, float, float]]:
+    """(integral of w**p1, integral of w**p2, length) over each whole piece."""
+    return [(_piece_integral(pc, p.p1, pc.lo, pc.hi), _piece_integral(pc, p.p2, pc.lo, pc.hi),
+             pc.hi - pc.lo) for pc in w.pieces]
+
+
+def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed: float,
+           left: bool):
+    """t -> the class ratio <w**p1>**(1/p1) * <w**p2>**(-1/p2) over [t, fixed]
+    (left) or [fixed, t], one golden-refinement step.
+
+    Each call integrates only the piece that holds t; the pieces between come
+    from the whole-piece table and the fixed end's piece from a cache.  The
+    terms are summed in moment's left-to-right order (its fold from 0.0 adds
+    the first term exactly), so on pieces that meet exactly, as all the
+    package builds do, the value is bit for bit what moment's averages give.
+    """
+    pieces = w.pieces
+    los = [pc.lo for pc in pieces]
+    his = [pc.hi for pc in pieces]
+    p1, p2 = p.p1, p.p2
+    # A left end t lies in the piece with lo <= t < hi, a right end in the
+    # piece with lo < t <= hi; the fixed end's piece is clipped at that end.
+    kf = bisect.bisect_left(los, fixed) - 1 if left else bisect.bisect_right(his, fixed)
+    pc = pieces[kf]
+    span = (pc.lo, min(fixed, pc.hi)) if left else (max(fixed, pc.lo), pc.hi)
+    f1, f2 = _piece_integral(pc, p1, *span), _piece_integral(pc, p2, *span)
+
+    def ratio(t: float) -> float:
+        if left:
+            a, b, k = t, fixed, bisect.bisect_right(his, t)
+        else:
+            a, b, k = fixed, t, bisect.bisect_left(los, t) - 1
+        pc = pieces[k]
+        lo, hi = max(a, pc.lo), min(b, pc.hi)
+        m1, m2 = _piece_integral(pc, p1, lo, hi), _piece_integral(pc, p2, lo, hi)
+        if k == kf:
+            i1, i2 = m1, m2
+        else:
+            (i1, i2), (e1, e2) = ((m1, m2), (f1, f2)) if left else ((f1, f2), (m1, m2))
+            for d1, d2, _ in table[min(k, kf) + 1:max(k, kf)]:
+                i1 += d1
+                i2 += d2
+            i1, i2 = i1 + e1, i2 + e2
+        length = b - a
+        return math.exp(math.log(i1 / length) / p1 - math.log(i2 / length) / p2)
+
+    return ratio
 
 
 def _step_log_norm(w: Weight, p: Params) -> float:
@@ -272,10 +317,10 @@ def _step_log_norm(w: Weight, p: Params) -> float:
     pieces, nearby averages lie on the tangent to the ratio's level curve, so
     the interval slides at a constant ratio until one reaches a breakpoint.
     With one endpoint fixed, sliding the other across a piece moves the
-    averages along a segment, whose extremum is closed-form.
+    averages along a segment, whose extremum is closed-form.  The whole-piece
+    integrals come from the table apq_norm's refinement also reads.
     """
-    ints = [(_piece_integral(pc, p.p1, pc.lo, pc.hi), _piece_integral(pc, p.p2, pc.lo, pc.hi),
-             pc.hi - pc.lo) for pc in w.pieces]
+    ints = _piece_table(w, p)
     best = -math.inf
     n = len(w.pieces)
     for fixed in range(n):
@@ -296,7 +341,9 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     Exact for step weights (every piece a ConstPiece).  With power pieces it
     is a lower estimate: candidate endpoints are all breakpoints plus
     `resolution` geometric subdivisions per piece, and the best grid cell
-    gets one coordinate-wise golden-section refinement.
+    gets one coordinate-wise golden-section refinement.  Each refinement step
+    integrates only the piece that holds the moving endpoint: whole pieces
+    come from one per-piece table, the fixed endpoint's piece from a cache.
     """
     require_powers(p, "apq_norm")
     if resolution < 2:
@@ -336,17 +383,18 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     best = math.exp(logr[i, j])
 
     # One local refinement of each endpoint inside its neighbor cells.
+    table = _piece_table(w, p)
     alpha, beta = float(ts[i]), float(ts[j])
     a_lo = float(ts[i - 1]) if i > 0 else alpha
     a_hi = min(float(ts[i + 1]), beta * (1.0 - 1e-12)) if i + 1 < n else alpha
     if a_hi > a_lo:
-        a_new, val = golden_max(lambda a: _ratio(w, p, a, beta), a_lo, a_hi, 60)
+        a_new, val = golden_max(_sweep(w, p, table, beta, True), a_lo, a_hi, 60)
         if val > best:
             best, alpha = val, a_new
     b_lo = max(float(ts[j - 1]), alpha + 1e-15) if j > 0 else beta
     b_hi = float(ts[j + 1]) if j + 1 < n else beta
     if b_hi > b_lo:
-        _, val = golden_max(lambda b: _ratio(w, p, alpha, b), b_lo, b_hi, 60)
+        _, val = golden_max(_sweep(w, p, table, alpha, False), b_lo, b_hi, 60)
         if val > best:
             best = val
     return best

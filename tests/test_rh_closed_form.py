@@ -98,6 +98,23 @@ def test_overflow_raises_solve_error():
             f(q, alpha, 7e3, (7.0, q / 7.0))
 
 
+def test_overflowing_power_of_x1_with_a_representable_result():
+    # x1**(1 + alpha) is about e**710 at x1 = 2.2008, alpha ~ 899 and
+    # overflows, but the integrals just past the end of region I and just past
+    # the start of region IV stay below the top of the double range.
+    q = 1.0 + 1e-6
+    alpha = 0.9 * alpha0(q)
+    x1 = 2.200821424301424
+    _, c = _a2_setup(q)
+    for f, s_max in ((truncated_integral, (1.0 + 1e-9) * x1 / c.gamma_plus),
+                     (tail_integral, (1.0 + 1e-6) * x1 / c.gamma_minus)):
+        got = f(q, alpha, s_max, (x1, q / x1))
+        with mpmath.workdps(30):
+            want = mpmath.mpf(x1) ** (1 + mpmath.mpf(alpha)) * f(q, alpha, s_max / x1)
+        assert 1e305 < want < 1.7e308
+        assert abs(got - want) <= 1e-12 * want, float(abs(got - want) / want)
+
+
 @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.05, 2.0, 1e4, 1e8, 1e12, 1e16])
 def test_alpha0_matches_reference(q):
     # sqrt(Q/(Q-1)) - 1 cancels as Q grows: it was off by 1.4e-8 at Q = 1e8

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from apq import (DomainError, NonIntegrableError, PowerPiece, Weight,
-                 apq_norm, constant_weight, cutoff_above, cutoff_below,
-                 distribution, moment, scale_weight, step_weight,
+from apq import (DomainError, NonIntegrableError, Params, PowerPiece, Region, Weight,
+                 apq_norm, build, constant_weight, cutoff_above, cutoff_below,
+                 distribution, moment, power_witness, scale_weight, step_weight,
                  weight_from_json, weight_to_json)
-from apq.weights import ConstPiece
+from apq import weights
+from apq.verify import sample_region_point
+from apq.weights import ConstPiece, _piece_table, _sweep
 
 from conftest import setup
 
@@ -169,6 +171,56 @@ def test_step_norm_exact():
             brute = math.exp(np.max(logr[length > 0.0]))
             got = apq_norm(w, p, 8)
             assert brute * (1.0 - 1e-12) <= got <= brute * (1.0 + 1e-3)
+
+
+# Power-piece weights whose refinement moves the norm well past the grid
+# estimate (the `norm_power_*` golden invocations).
+POWER_HEAD = (Weight((PowerPiece(0.0, 0.3, 1.0, 0.4), ConstPiece(0.3, 1.0, 0.2))),
+              Params(1.0, -1.0, 50.0))
+POWER_MIDDLE = (Weight((ConstPiece(0.0, 0.2, 3.0), PowerPiece(0.2, 0.7, 0.5, -0.8),
+                        ConstPiece(0.7, 1.0, 0.4))), Params(2.0, -1.0, 50.0))
+
+
+def _region_iv_weight(p1, p2, seed):
+    p, c = setup(p1, p2)
+    x = sample_region_point(np.random.default_rng(seed), c, p, Region.IV)
+    return build(x, c, p)[0], p
+
+
+def test_refinement_ratio_is_the_moment_ratio_bit_for_bit():
+    cases = [_region_iv_weight(p1, p2, 20 + k)
+             for k, (p1, p2) in enumerate([(1.0, -1.0), (2.0, 1.0), (2.0, -1.0), (-0.5, -2.0)])]
+    cases += [(power_witness(2.0), Params(1.0, -1.0, 2.0)), POWER_HEAD, POWER_MIDDLE]
+    rng = np.random.default_rng(21)
+    for w, p in cases:
+        assert any(isinstance(pc, PowerPiece) for pc in w.pieces)
+        table = _piece_table(w, p)
+        bps = w.breakpoints()  # holds 0 and 1
+        inside = [float(t) for t in rng.uniform(0.0, 1.0, size=6)]
+        ends = bps + inside + [float(t) for t in rng.uniform(0.0, 1.0, size=30)]
+        for fixed in bps + inside:  # fixed end on a piece end and inside a piece
+            for left in (True, False):
+                if fixed == (0.0 if left else 1.0):
+                    continue  # no interval ends at 0 or starts at 1
+                ratio = _sweep(w, p, table, fixed, left)
+                for t in ends:
+                    a, b = (t, fixed) if left else (fixed, t)
+                    if not a < b:
+                        continue
+                    want = math.exp(math.log(moment(w, p.p1, (a, b))) / p.p1
+                                    - math.log(moment(w, p.p2, (a, b))) / p.p2)
+                    assert ratio(t) == want, (w, p, a, b, left)
+
+
+def test_power_norm_refines_without_moment(monkeypatch):
+    w, p = _region_iv_weight(1.0, -1.0, 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apq_norm called moment")
+
+    monkeypatch.setattr(weights, "moment", refuse)
+    assert apq_norm(w, p) <= p.q * (1.0 + 1e-9)
+
 
 def test_cutoff_examples():
     w = step_weight([0.5], [1.0, 0.5])

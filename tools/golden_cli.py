@@ -86,6 +86,25 @@ FOUND_WEIGHT = {"pieces": [
     {"kind": "const", "value": 0.0997, "lo": 20.0 / 21.0, "hi": 1.0},
 ]}
 
+# Power-piece weights whose golden-section refinement moves the norm well past
+# the grid estimate: 3.9397978997795 -> 3.94265616200929 at (1, -1, 50), and
+# 6.76698545223 -> 7.136051374724213 at (2, -1, 50).
+POWER_HEAD_WEIGHT = {"pieces": [
+    {"kind": "power", "coef": 1.0, "exponent": 0.4, "lo": 0.0, "hi": 0.3},
+    {"kind": "const", "value": 0.2, "lo": 0.3, "hi": 1.0},
+]}
+POWER_MIDDLE_WEIGHT = {"pieces": [
+    {"kind": "const", "value": 3.0, "lo": 0.0, "hi": 0.2},
+    {"kind": "power", "coef": 0.5, "exponent": -0.8, "lo": 0.2, "hi": 0.7},
+    {"kind": "const", "value": 0.4, "lo": 0.7, "hi": 1.0},
+]}
+# Name -> (class, weight document) of each `norm` invocation.
+NORM_WEIGHTS = {
+    "found": (("1", "-1", FOUND_Q), FOUND_WEIGHT),
+    "power_head": (("1", "-1", "50"), POWER_HEAD_WEIGHT),
+    "power_middle": (("2", "-1", "50"), POWER_MIDDLE_WEIGHT),
+}
+
 
 def _cls(p1: str, p2: str, q: str = "2") -> list[str]:
     return ["--p1", p1, "--p2", p2, "--q", q]
@@ -95,8 +114,9 @@ def _at(x) -> list[str]:
     return ["--x1", repr(x[0]), "--x2", repr(x[1])]
 
 
-def invocations(weight_path: str) -> dict[str, list[str]]:
-    """Name -> argv of every golden invocation."""
+def invocations(weight_dir: str) -> dict[str, list[str]]:
+    """Name -> argv of every golden invocation; the NORM_WEIGHTS documents
+    are read from <weight_dir>/<name>_weight.json."""
     inv: dict[str, list[str]] = {}
     for p1, p2, q in [("1", "-1", "2"), ("2", "1", "2"), ("-0.5", "-2", "2"),
                       ("2", "-1", "2"), ("1", "0", "2"), ("-1", "-1.001", "2"),
@@ -167,7 +187,9 @@ def invocations(weight_path: str) -> dict[str, list[str]]:
     for tag, x in (("point", ("0.08", "25")), ("negative", ("-1", "-2")),
                    ("tiny", ("1e-300", "2e300"))):
         inv[f"rh_{tag}"] = ["rh", *_cls("1", "-1"), "--alpha", "0.2", "--x1", x[0], "--x2", x[1]]
-    inv["norm_found"] = ["norm", *_cls("1", "-1", FOUND_Q), "--weight", weight_path]
+    for name, (cls, _) in NORM_WEIGHTS.items():
+        inv[f"norm_{name}"] = ["norm", *_cls(*cls), "--weight",
+                               os.path.join(weight_dir, f"{name}_weight.json")]
     return inv
 
 
@@ -177,10 +199,10 @@ def run(src: str, outdir: str) -> None:
 
     os.makedirs(outdir, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        weight_path = os.path.join(tmp, "found_weight.json")
-        with open(weight_path, "w") as fh:
-            json.dump(FOUND_WEIGHT, fh)
-        for name, argv in invocations(weight_path).items():
+        for name, (_, doc) in NORM_WEIGHTS.items():
+            with open(os.path.join(tmp, f"{name}_weight.json"), "w") as fh:
+                json.dump(doc, fh)
+        for name, argv in invocations(tmp).items():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
