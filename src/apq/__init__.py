@@ -12,7 +12,7 @@ from .bellman import (BellmanValue, Gradient, evaluate, evaluate_a2,
 from .errors import ApqError, DomainError, NonIntegrableError, SolveError
 from .extremal import ExtremalPlan, build
 from .geometry import Point, Region, classify, in_domain
-from .implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
+from .implicit_v import dv_sign_check, solve_v_III, solve_v_IV, tangent_pi
 from .params import DerivedConstants, Params, ainf_constants, derive_constants, solve_gammas
 from .rh import RHCheck, RHResult, alpha0, power_witness, rh_check, rh_constant
 from .verify import (VerifyReport, check_concavity, check_dv_signs,
@@ -27,7 +27,7 @@ __all__ = [
     "Params", "DerivedConstants",
     "solve_gammas", "derive_constants", "ainf_constants",
     "Point", "Region", "in_domain", "classify",
-    "solve_v_III", "solve_v_IV", "dv_sign_check", "diagnostics",
+    "solve_v_III", "solve_v_IV", "dv_sign_check", "tangent_pi",
     "BellmanValue", "Gradient", "evaluate", "evaluate_lambda", "gradient",
     "evaluate_a2", "evaluate_ainf",
     "Weight", "Piece", "ConstPiece", "PowerPiece",

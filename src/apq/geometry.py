@@ -58,7 +58,18 @@ def log_ratio(x: Point, p: Params) -> float:
     return math.log(x1) / p.p1 - p.root2(x2)
 
 
-def in_domain(x: Point, p: Params, slack: float = 1e-12) -> bool:
+# Default relative slack of in_domain, and the tolerance of the on-curve tests.
+_SLACK = 1e-12
+
+
+def _log_q_band(p: Params, slack: float) -> tuple[float, float]:
+    """log Q and the band slack * max(1, log Q) that a relative slack allows
+    log_ratio past each boundary."""
+    lq = math.log(p.q)
+    return lq, slack * (lq if lq > 1.0 else 1.0)
+
+
+def in_domain(x: Point, p: Params, slack: float = _SLACK) -> bool:
     """Membership in the moment domain with relative slack at both boundaries."""
     x1, x2 = x
     if not (math.isfinite(x1) and math.isfinite(x2)):
@@ -66,18 +77,25 @@ def in_domain(x: Point, p: Params, slack: float = 1e-12) -> bool:
     if x1 <= 0.0 or (x2 <= 0.0 and p.p2 != 0.0):
         return False
     r = log_ratio(x, p)
-    lq = math.log(p.q)
-    s = slack * max(1.0, lq)
+    lq, s = _log_q_band(p, slack)
     return -s <= r <= lq + s
 
 
 def _stationary_log_ratio(a: Point, b: Point, p: Params) -> float | None:
-    """log_ratio at the one interior extremum of the segment from a to b, if any."""
+    """log_ratio at the one interior extremum of the segment from a to b, if any.
+
+    The extremum's parameter is measured from the nearer end: measured from a,
+    an extremum within rounding of b would round onto b and drop out, so the
+    answer would depend on the direction of the segment."""
     d1, d2 = b[0] - a[0], b[1] - a[1]
     if d1 * d2 != 0.0:
-        s = ((d2 * p.p1 * a[0] - d1 * p.p2 * a[1] - d1 * (1.0 - p.one2))
-             / (d1 * d2 * (p.p2 - p.p1)))
-        if 0.0 < s < 1.0:
+        den = d1 * d2 * (p.p2 - p.p1)
+        s = (d2 * p.p1 * a[0] - d1 * p.p2 * a[1] - d1 * (1.0 - p.one2)) / den
+        if s > 0.5:  # the same formula from b, along -d
+            t = (d1 * p.p2 * b[1] - d2 * p.p1 * b[0] + d1 * (1.0 - p.one2)) / den
+            if 0.0 < t < 1.0:
+                return log_ratio((b[0] - t * d1, b[1] - t * d2), p)
+        elif s > 0.0:
             return log_ratio((a[0] + s * d1, a[1] + s * d2), p)
     return None
 
@@ -98,7 +116,7 @@ def segment_log_ratio_range(a: Point, b: Point, p: Params) -> tuple[float, float
     return min(vals), max(vals)
 
 
-def segment_in_domain(a: Point, b: Point, p: Params, slack: float = 1e-12) -> bool:
+def segment_in_domain(a: Point, b: Point, p: Params, slack: float = _SLACK) -> bool:
     """Whole segment [a, b] inside the moment domain, with in_domain's slack.
 
     in_domain has tested both ends, so of segment_log_ratio_range only the
@@ -106,18 +124,17 @@ def segment_in_domain(a: Point, b: Point, p: Params, slack: float = 1e-12) -> bo
     if not (in_domain(a, p, slack) and in_domain(b, p, slack)):
         return False
     mid = _stationary_log_ratio(a, b, p)
-    lq = math.log(p.q)
-    s = slack * max(1.0, lq)
+    lq, s = _log_q_band(p, slack)
     return mid is None or -s <= mid <= lq + s
 
 
-def on_gamma1(x: Point, p: Params, tol: float = 1e-12) -> bool:
-    return abs(log_ratio(x, p)) <= tol * max(1.0, math.log(p.q))
+def on_gamma1(x: Point, p: Params) -> bool:
+    return abs(log_ratio(x, p)) <= _log_q_band(p, _SLACK)[1]
 
 
-def on_gammaq(x: Point, p: Params, tol: float = 1e-12) -> bool:
-    lq = math.log(p.q)
-    return abs(log_ratio(x, p) - lq) <= tol * max(1.0, lq)
+def on_gammaq(x: Point, p: Params) -> bool:
+    lq, s = _log_q_band(p, _SLACK)
+    return abs(log_ratio(x, p) - lq) <= s
 
 
 def gamma1_point(v: float, p: Params) -> Point:

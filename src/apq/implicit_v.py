@@ -36,25 +36,11 @@ A warm start v0 from a nearby point starts the same bracketed iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._roots import expand, guarded, solve
 from .errors import DomainError, SolveError
 from .geometry import Point, Region, classify, in_domain
 from .params import DerivedConstants, Params
-
-
-@dataclass(frozen=True)
-class GradientDiagnostics:
-    """Scalar diagnostics of the implicit parameter at a point.
-
-    upsilon = p2*v**p2*(1-x1) - p1*v**p1*(1-x2)   (chord-equation derivative scale)
-    pi      = -(dF/dv) / (p2*v**p2), F the tangent residual; on the tangent it
-              equals A*x1/v**(p1+1) - x2/v**(p2+1)  (negative throughout region IV)
-    """
-
-    upsilon: float
-    pi: float
 
 
 def chord_residual(v: float, x: Point, p: Params) -> float:
@@ -91,7 +77,7 @@ def _tangent_scale(v: float, x: Point, c: DerivedConstants, p: Params) -> float:
 
 
 def _chord_slope_log(v: float, x: Point, p: Params) -> float:
-    """d chord_residual / d log v, the upsilon of GradientDiagnostics."""
+    """d chord_residual / d log v = p2*v**p2*(1-x1) - p1*v**p1*(1-x2)."""
     x1, x2 = x
     return p.k2 * v**p.p2 * (1.0 - x1) - p.p1 * v**p.p1 * (p.one2 - x2)
 
@@ -192,12 +178,12 @@ def _solve_v(x: Point, region: Region, p: Params, c: DerivedConstants) -> float:
     raise DomainError(f"no implicit parameter in region {region}")
 
 
-def diagnostics(x: Point, region: Region, p: Params,
-                c: DerivedConstants) -> GradientDiagnostics:
-    v = _solve_v(x, region, p, c)
-    upsilon = _chord_slope_log(v, x, p)
-    pi = -_tangent_residual_dv(v, x, c, p) / (p.k2 * v**p.p2)
-    return GradientDiagnostics(upsilon=upsilon, pi=pi)
+def tangent_pi(x: Point, c: DerivedConstants, p: Params) -> float:
+    """pi = -(dF/dv) / (p2*v**p2) at a region-IV point, F the tangent residual
+    and v its tangent parameter; on the tangent it equals
+    A*x1/v**(p1+1) - x2/v**(p2+1), negative throughout region IV."""
+    v = solve_v_IV(x, c, p)
+    return -_tangent_residual_dv(v, x, c, p) / (p.k2 * v**p.p2)
 
 
 def dv_sign_check(x: Point, region: Region, p: Params, c: DerivedConstants) -> bool:

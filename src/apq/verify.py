@@ -29,23 +29,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import BellmanValue, evaluate
+from .bellman import BellmanValue, evaluate, evaluate_region_formula
 from .errors import DomainError, SolveError
 from .extremal import decompose
 from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
                        segment_in_domain)
-from .implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
+from .implicit_v import dv_sign_check, solve_v_III, solve_v_IV, tangent_pi
 from .params import DerivedConstants, Params, require_powers
 from .weights import apq_norm, step_weight
 
 
+_DETAIL_CAP = 10
+
+
 @dataclass
 class VerifyReport:
+    """A campaign's tally: the samples tested, the worst normalized excess
+    over the campaign's tolerances, and the _DETAIL_CAP largest positive
+    excesses, largest first."""
+
     campaign: str
-    samples: int
-    worst_violation: float
-    passed: bool
+    samples: int = 0
+    worst_violation: float = -math.inf
     details: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_violation <= 0.0
+
+    def note(self, pt: Point, exc: float, label: str) -> None:
+        """Tally one excess at pt; a positive one is a violation."""
+        if exc > self.worst_violation:
+            self.worst_violation = exc
+        if exc > 0.0:
+            self.details.append((pt, exc, label))
+            self.details.sort(key=lambda item: -item[1])
+            del self.details[_DETAIL_CAP:]
 
     def as_dict(self) -> dict:
         return {
@@ -58,13 +77,19 @@ class VerifyReport:
         }
 
 
-_DETAIL_CAP = 10
-
-
-def _record(details: list, pt: Point, stat: float, label: str) -> None:
-    details.append((pt, stat, label))
-    details.sort(key=lambda item: -item[1])
-    del details[_DETAIL_CAP:]
+# Concavity: the largest Hessian eigenvalue and |det| count as violations
+# past these, and a midpoint straddle past _MIDPOINT_TOL.
+_EIG_TOL = 1e-6
+_DET_TOL = 1e-5
+_MIDPOINT_TOL = 1e-9
+# Majorization: slack of the chord inequality and of the weight's bound.
+_MAJORIZATION_TOL = 1e-9
+# The oracle's relative moment band, which lipschitz_slack also covers, and
+# its relative slack on the class-norm cap.
+_MOMENT_BAND = 2e-3
+_NORM_SLACK = 1e-6
+# Rejection-sampling budget of sample_region_point.
+_SAMPLE_TRIES = 20000
 
 
 def sample_point(rng: np.random.Generator, c: DerivedConstants, p: Params,
@@ -80,11 +105,10 @@ def sample_point(rng: np.random.Generator, c: DerivedConstants, p: Params,
 
 
 def sample_region_point(rng: np.random.Generator, c: DerivedConstants, p: Params,
-                        region: Region, max_tries: int = 20000,
-                        stencil: float | None = None) -> Point:
+                        region: Region, stencil: float | None = None) -> Point:
     """Rejection-sample a point of the region; optionally require that the
     full finite-difference stencil with relative step `stencil` stays inside."""
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         x = sample_point(rng, c, p)
         if classify(x, c, p) != region:
             continue
@@ -108,14 +132,14 @@ def _region_evaluator(x: Point, c: DerivedConstants, p: Params):
     """Surface evaluator pinned to x's region, warm-starting the implicit
     solves from the center's parameter; valid on stencils that stay in the
     region (the samplers enforce that)."""
-    from .bellman import _value_III, _value_IV
     region = classify(x, c, p)
     if region == Region.III:
         v0 = solve_v_III(x, p)
-        return lambda pt: _value_III(pt, solve_v_III(pt, p, v0=v0), p)
+        return lambda pt: evaluate_region_formula(pt, region, c, p, solve_v_III(pt, p, v0=v0))
     if region == Region.IV:
         v0 = solve_v_IV(x, c, p)
-        return lambda pt: _value_IV(pt, solve_v_IV(pt, c, p, v0=v0), c, p)
+        return lambda pt: evaluate_region_formula(pt, region, c, p,
+                                                  solve_v_IV(pt, c, p, v0=v0))
     return lambda pt: evaluate(pt, c, p).value
 
 
@@ -175,8 +199,7 @@ def _boundary_normal(c: DerivedConstants, p: Params, which: str) -> tuple[float,
 _EPS = 2.2e-16
 
 
-def _certified_hessian(x: Point, c: DerivedConstants, p: Params,
-                       eig_tol: float, det_tol: float, step: float = 1e-4):
+def _certified_hessian(x: Point, c: DerivedConstants, p: Params, step: float = 1e-4):
     """FD Hessian with a step-halving error estimate; None when the point is
     too ill-conditioned to test the tolerances (second derivatives blow up at
     the unit-curve corner and at the extreme curve in region IV).
@@ -194,15 +217,13 @@ def _certified_hessian(x: Point, c: DerivedConstants, p: Params,
     exx, exy, eyy = errs
     eig_unc = max(exx + exy, eyy + exy)
     det_unc = abs(fyy) * exx + abs(fxx) * eyy + 2.0 * abs(fxy) * exy + exx * eyy
-    if eig_unc > eig_tol or det_unc > det_tol:
+    if eig_unc > _EIG_TOL or det_unc > _DET_TOL:
         return None
     return fxx, fxy, fyy
 
 
 def check_concavity(c: DerivedConstants, p: Params, n_interior: int = 500,
-                    n_boundary: int = 100, seed: int = 0,
-                    eig_tol: float = 1e-6, det_tol: float = 1e-5,
-                    midpoint_tol: float = 1e-9) -> VerifyReport:
+                    n_boundary: int = 100, seed: int = 0) -> VerifyReport:
     """Hessian checks at n_interior points per region and midpoint checks
     at n_boundary points per internal boundary.
 
@@ -214,16 +235,14 @@ def check_concavity(c: DerivedConstants, p: Params, n_interior: int = 500,
         raise DomainError("check_concavity needs n_interior, n_boundary >= 0 and at "
                           f"least one sample, got {n_interior} and {n_boundary}")
     rng = np.random.default_rng(seed)
-    details: list = []
-    worst = -math.inf
-    samples = 0
+    rep = VerifyReport("concavity")
 
     for region in (Region.I, Region.II, Region.III, Region.IV):
         for _ in range(n_interior):
             got = None
             for _ in range(400):
                 x = sample_region_point(rng, c, p, region, stencil=1e-4)
-                got = _certified_hessian(x, c, p, eig_tol, det_tol)
+                got = _certified_hessian(x, c, p)
                 if got is not None:
                     break
             if got is None:
@@ -233,17 +252,9 @@ def check_concavity(c: DerivedConstants, p: Params, n_interior: int = 500,
             rad = math.hypot(0.5 * (fxx - fyy), fxy)
             eig_max = half_tr + rad
             det = fxx * fyy - fxy * fxy
-            samples += 1
-            exc_eig = eig_max - eig_tol
-            exc_det = abs(det) - det_tol
-            if exc_eig > worst:
-                worst = exc_eig
-            if exc_det > worst:
-                worst = exc_det
-            if exc_eig > 0.0:
-                _record(details, x, exc_eig, f"hessian-eig-{region.value}")
-            if exc_det > 0.0:
-                _record(details, x, exc_det, f"hessian-det-{region.value}")
+            rep.samples += 1
+            rep.note(x, eig_max - _EIG_TOL, f"hessian-eig-{region.value}")
+            rep.note(x, abs(det) - _DET_TOL, f"hessian-det-{region.value}")
 
     for which in ("plus", "minus", "iii_iv"):
         nx, ny = _boundary_normal(c, p, "plus" if which == "plus" else "minus")
@@ -261,14 +272,9 @@ def check_concavity(c: DerivedConstants, p: Params, n_interior: int = 500,
                 continue
             mid_gap = 0.5 * (evaluate(y1, c, p).value + evaluate(y2, c, p).value) \
                 - evaluate(z, c, p).value
-            samples += 1
-            exc = mid_gap - midpoint_tol
-            if exc > worst:
-                worst = exc
-            if exc > 0.0:
-                _record(details, z, exc, f"midpoint-{which}")
-
-    return VerifyReport("concavity", samples, worst, worst <= 0.0, details)
+            rep.samples += 1
+            rep.note(z, mid_gap - _MIDPOINT_TOL, f"midpoint-{which}")
+    return rep
 
 
 def _fd_slope_bound(x: Point, c: DerivedConstants, p: Params, idx: int) -> float:
@@ -286,13 +292,12 @@ def _fd_slope_bound(x: Point, c: DerivedConstants, p: Params, idx: int) -> float
     return max(slopes) if slopes else 0.0
 
 
-def lipschitz_slack(x: Point, c: DerivedConstants, p: Params,
-                    moment_band: float = 2e-3) -> float:
+def lipschitz_slack(x: Point, c: DerivedConstants, p: Params) -> float:
     """First-order bound on how much the surface can move inside the oracle's
     relative moment band, from finite-difference slope estimates."""
     t1 = _fd_slope_bound(x, c, p, 0)
     t2 = _fd_slope_bound(x, c, p, 1)
-    return t1 * moment_band * abs(x[0]) + t2 * moment_band * abs(x[1])
+    return t1 * _MOMENT_BAND * abs(x[0]) + t2 * _MOMENT_BAND * abs(x[1])
 
 
 def _band_range(rest: np.ndarray, tab: np.ndarray, half: float):
@@ -310,8 +315,7 @@ def _band_range(rest: np.ndarray, tab: np.ndarray, half: float):
 
 
 def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
-               value_grid: int = 40, break_grid: int = 20,
-               moment_band: float = 2e-3, norm_slack: float = 1e-6) -> float:
+               value_grid: int = 40, break_grid: int = 20) -> float:
     """Brute-force lower realization of the defining supremum at x.
 
     Maximizes |{w >= 1}| over step weights with n_pieces pieces, values on a
@@ -361,7 +365,7 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
         # holds every row the moment test below accepts.
         lo, hi = 0, len(vals)
         for xk, tab, pre in ((x[0], v1, pre1), (x[1], v2, pre2)):
-            band = moment_band * abs(xk)
+            band = _MOMENT_BAND * abs(xk)
             a, b = _band_range(xk - pre @ lens[:-1], lens[-1] * tab,
                                band + 1e-9 * band + 1e-12 * abs(xk))
             lo, hi = np.maximum(lo, a), np.minimum(hi, b)
@@ -374,8 +378,8 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
         combos = np.column_stack([prefix[owner], last])
         m1 = v1[combos] @ lens
         m2 = v2[combos] @ lens
-        feas = (np.abs(m1 - x[0]) <= moment_band * abs(x[0])) \
-            & (np.abs(m2 - x[1]) <= moment_band * abs(x[1]))
+        feas = (np.abs(m1 - x[0]) <= _MOMENT_BAND * abs(x[0])) \
+            & (np.abs(m2 - x[1]) <= _MOMENT_BAND * abs(x[1]))
         if not feas.any():
             continue
         obj = ind[combos[feas]] @ lens
@@ -385,7 +389,7 @@ def oracle_max(x: Point, c: DerivedConstants, p: Params, n_pieces: int = 3,
     cand.sort(key=lambda t: -t[0])
     for ob, cuts, values in cand:
         w = step_weight(list(cuts), list(values))
-        if apq_norm(w, p) <= p.q * (1.0 + norm_slack):
+        if apq_norm(w, p) <= p.q * (1.0 + _NORM_SLACK):
             return ob
     return -math.inf
 
@@ -416,8 +420,7 @@ def _random_split(x: Point, p: Params, rng: np.random.Generator):
 
 
 def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
-                       seed: int = 7, depth: int = 8,
-                       tol: float = 1e-9) -> VerifyReport:
+                       seed: int = 7, depth: int = 8) -> VerifyReport:
     """Chord inequality at every split of random dyadic trees, and the bound
     at the step weight their leaves make.
 
@@ -433,9 +436,7 @@ def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
         raise DomainError("check_majorization needs n_weights >= 1 and depth >= 0, "
                           f"got {n_weights} and {depth}")
     rng = np.random.default_rng(seed)
-    details: list = []
-    worst = -math.inf
-    samples = 0
+    rep = VerifyReport("majorization")
 
     for _ in range(n_weights):
         root = sample_point(rng, c, p, r_lo=c.v_minus * c.gamma_minus / 2.0,
@@ -452,7 +453,6 @@ def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
                     pos = nxt
 
         def grow(x: Point, bx: BellmanValue, lo: float, hi: float, level: int):
-            nonlocal worst, samples
             if level == 0:
                 emit_leaf(x, bx, lo, hi)
                 return
@@ -463,12 +463,9 @@ def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
             alpha, xm, xp = split
             bm = evaluate(xm, c, p)
             bp = evaluate(xp, c, p)
-            samples += 1
-            exc = alpha * bm.value + (1.0 - alpha) * bp.value - bx.value - tol
-            if exc > worst:
-                worst = exc
-            if exc > 0.0:
-                _record(details, x, exc, "chord-split")
+            rep.samples += 1
+            rep.note(x, alpha * bm.value + (1.0 - alpha) * bp.value - bx.value
+                     - _MAJORIZATION_TOL, "chord-split")
             mid = lo + alpha * (hi - lo)
             grow(xm, bm, lo, mid, level - 1)
             grow(xp, bp, mid, hi, level - 1)
@@ -479,38 +476,22 @@ def check_majorization(c: DerivedConstants, p: Params, n_weights: int = 1000,
         m1 = sum((hi - lo) * val**p.p1 for lo, hi, val in segments)
         m2 = sum((hi - lo) * val**p.p2 for lo, hi, val in segments)
         bound = evaluate((m1, m2), c, p).value
-        samples += 1
-        exc = total_above - bound - tol
-        if exc > worst:
-            worst = exc
-        if exc > 0.0:
-            _record(details, (m1, m2), exc, "weight-vs-bound")
-
-    return VerifyReport("majorization", samples, worst, worst <= 0.0, details)
+        rep.samples += 1
+        rep.note((m1, m2), total_above - bound - _MAJORIZATION_TOL, "weight-vs-bound")
+    return rep
 
 
 def check_dv_signs(c: DerivedConstants, p: Params, n_points: int = 200,
                    seed: int = 3) -> VerifyReport:
     rng = np.random.default_rng(seed)
-    details: list = []
-    worst = -math.inf
-    samples = 0
+    rep = VerifyReport("dv-signs")
     for region in (Region.III, Region.IV):
         for _ in range(n_points):
             x = sample_region_point(rng, c, p, region, stencil=1e-3)
-            ok = dv_sign_check(x, region, p, c)
-            samples += 1
-            exc = 0.0 if ok else 1.0
-            if exc > worst:
-                worst = exc
-            if exc > 0.0:
-                _record(details, x, exc, f"dv-sign-{region.value}")
+            rep.samples += 1
+            rep.note(x, 0.0 if dv_sign_check(x, region, p, c) else 1.0,
+                     f"dv-sign-{region.value}")
             if region == Region.IV:
-                pi = diagnostics(x, region, p, c).pi
-                exc = pi  # must be strictly negative
-                samples += 1
-                if exc > worst:
-                    worst = exc
-                if exc >= 0.0:
-                    _record(details, x, exc, "pi-sign-IV")
-    return VerifyReport("dv-signs", samples, worst, worst <= 0.0, details)
+                rep.samples += 1
+                rep.note(x, tangent_pi(x, c, p), "pi-sign-IV")  # pi < 0 in IV
+    return rep

@@ -15,7 +15,7 @@ from apq import (Params, Region, alpha0, apq_norm, build, check_concavity,
                  oracle_max, power_witness, rh_constant, solve_gammas,
                  step_weight)
 from apq.bellman import evaluate_region_formula, gradient_IV
-from apq.implicit_v import diagnostics, dv_sign_check, solve_v_III, solve_v_IV
+from apq.implicit_v import dv_sign_check, solve_v_III, solve_v_IV, tangent_pi
 from apq.params import ainf_constants
 from apq.rh import moment_divergence_alpha, tail_integral
 from apq.verify import lipschitz_slack, sample_point, sample_region_point
@@ -232,7 +232,7 @@ def test_criterion_10_sign_diagnostics():
                 x = sample_region_point(rng, c, p, region, stencil=1e-3)
                 assert dv_sign_check(x, region, p, c)
                 if region == Region.IV:
-                    assert diagnostics(x, region, p, c).pi < 0.0
+                    assert tangent_pi(x, c, p) < 0.0
                 count += 1
         assert count == 200
     report(10, "dv sign checks at 200 interior points/case; Pi < 0 throughout IV")

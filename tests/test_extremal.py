@@ -200,6 +200,18 @@ def test_region_ii_builds_at_tiny_coordinates_of_extreme_classes(cls):
         assert abs(distribution(w, 1.0) - evaluate(x, c, p).value) <= 1e-12
 
 
+def test_region_i_chords_of_an_extreme_class_stay_in_the_class():
+    # In (5, 4, 3) the chords' interior extrema sit within rounding of their
+    # far ends; every seeded region-I point builds a weight in the class.
+    p, c = setup(5.0, 4.0, 3.0)
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        x = sample_region_point(rng, c, p, Region.I)
+        w, plan = build(x, c, p)
+        assert plan.region == Region.I
+        assert apq_norm(w, p) <= p.q * (1.0 + 1e-12), x
+
+
 def test_sliver_chord_stays_inside():
     # Points between the upper tangent line from (1, 1) and the extreme curve,
     # beyond the touch point: the chord through (1, 1) leaves the domain, and

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from apq import DomainError, Region, SolveError, classify, in_domain
+from apq import DomainError, Params, Region, SolveError, classify, in_domain
 from apq.geometry import (gamma1_point, gammaq_point, log_ratio, on_gamma1, on_gammaq,
                           segment_in_domain, segment_log_ratio_range, side)
 
@@ -182,6 +182,16 @@ def test_segment_range_on_tangent_chord():
                 assert abs(hi - lq) <= 1e-13 * max(1.0, lq)
                 assert abs(lo) <= 1e-13 * max(1.0, lq)
                 assert segment_in_domain(a, b, p)
+
+
+def test_segment_range_is_the_same_in_both_directions():
+    # The interior maximum of this chord (1.9768, above log 3) sits within
+    # 2.2e-18 of U(u) in parameter measured from U(1), which rounds onto U(u).
+    p = Params(5.0, 4.0, 3.0)
+    a, b = gamma1_point(1.0, p), gamma1_point(36664.821168786584, p)
+    assert segment_log_ratio_range(a, b, p) == segment_log_ratio_range(b, a, p)
+    assert segment_log_ratio_range(a, b, p)[1] > 1.9
+    assert not segment_in_domain(a, b, p) and not segment_in_domain(b, a, p)
 
 
 def test_segment_in_domain_edge_inputs(a2_setup):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import apq.implicit_v as implicit_v
-from apq import (Params, Region, SolveError, derive_constants, diagnostics, dv_sign_check,
-                 evaluate)
+from apq import (Params, Region, SolveError, derive_constants, dv_sign_check, evaluate,
+                 tangent_pi)
 from apq.geometry import gamma1_point
 from apq.implicit_v import chord_residual, solve_v_III, solve_v_IV, tangent_residual
 
@@ -186,7 +186,7 @@ def test_pi_negative_in_region_iv():
     for p1, p2 in CASES:
         p, c = setup(p1, p2)
         for x in random_in_region(rng, c, p, Region.IV, 100):
-            assert diagnostics(x, Region.IV, p, c).pi < 0.0
+            assert tangent_pi(x, c, p) < 0.0
 
 
 def test_continuity_across_iii_iv_boundary():

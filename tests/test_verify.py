@@ -47,6 +47,11 @@ def test_concavity_mutation_fails(a2_setup):
     rep = check_concavity(bad, p, n_interior=30, n_boundary=30, seed=0)
     assert not rep.passed
     assert rep.worst_violation > 0.0
+    # The report keeps the 10 largest excesses, largest first.
+    excesses = [exc for _, exc, _ in rep.details]
+    assert len(excesses) == 10
+    assert excesses == sorted(excesses, reverse=True)
+    assert excesses[0] == rep.worst_violation
 
 
 def test_report_serialization(a2_setup):

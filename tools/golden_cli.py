@@ -152,6 +152,10 @@ def invocations(weight_dir: str) -> dict[str, list[str]]:
     inv["scan_5_4_100"] = ["scan", *_cls("5", "4", "100"), "--grid", "64"]
     inv["extremal_6_5.5_2_II_tiny"] = ["extremal", *_cls("6", "5.5", "2"),
                                        *_at((2.635591744848398e-11, 2.635591744848398e-11))]
+    # A region-I point whose tangent chord has its interior log-ratio
+    # extremum within rounding of the chord's far end.
+    inv["extremal_5_4_3_I_chord"] = ["extremal", *_cls("5", "4", "3"),
+                                     *_at((1.8415920913321516e16, 154540798777.49905))]
     # Valid points whose residuals overflow or meet inf - inf in fsum.
     for name, argv in LEAKS.items():
         inv[name] = argv
