@@ -36,7 +36,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .geometry import (Point, Region, _split_quantities, classify, in_domain, on_gamma1,
                        region_of)
-from .implicit_v import _chord_slope_log, solve_v_III, solve_v_IV
+from .implicit_v import _chord_slope_log, _solve_v, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params, ainf_constants, require_powers
 
 
@@ -88,10 +88,11 @@ def evaluate_region_formula(x: Point, region: Region, c: DerivedConstants, p: Pa
         return 1.0
     if region == Region.II:
         return _value_II(x, c)
+    v = _solve_v(x, region, c, p) if v is None else v
     if region == Region.III:
-        return _value_III(x, solve_v_III(x, p) if v is None else v, p)
+        return _value_III(x, v, p)
     if region == Region.IV:
-        return _value_IV(x, solve_v_IV(x, c, p) if v is None else v, c, p)
+        return _value_IV(x, v, c, p)
     raise DomainError(f"no surface formula for region {region}")
 
 
@@ -143,14 +144,13 @@ def gradient(x: Point, c: DerivedConstants, p: Params) -> Gradient:
         return Gradient(0.0, 0.0)
     if region == Region.II:
         return Gradient(c.a2, c.b2)
+    v = _solve_v(x, region, c, p)
     if region == Region.III:
-        v = solve_v_III(x, p)
         upsilon = _chord_slope_log(v, x, p)
         vp1, vp2 = v**p.p1, v**p.p2
         t1 = p.k2 * (x2 - p.one2) * (vp2 / (p.power2(v) - p.one2)) / upsilon
         t2 = p.p1 * (x1 - 1.0) * (vp1 / (1.0 - vp1)) / upsilon
         return Gradient(t1, t2)
-    v = solve_v_IV(x, c, p)
     return gradient_IV(v, c, p)
 
 

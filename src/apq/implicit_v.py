@@ -170,12 +170,15 @@ def solve_v_IV(x: Point, c: DerivedConstants, p: Params,
     return v
 
 
-def _solve_v(x: Point, region: Region, p: Params, c: DerivedConstants) -> float:
+def _solve_v(x: Point, region: Region, c: DerivedConstants, p: Params,
+             v0: float | None = None) -> float | None:
+    """x's implicit parameter in the given region: the chord parameter in III,
+    the tangent parameter in IV, None in the regions that have none."""
     if region == Region.III:
-        return solve_v_III(x, p)
+        return solve_v_III(x, p, v0)
     if region == Region.IV:
-        return solve_v_IV(x, c, p)
-    raise DomainError(f"no implicit parameter in region {region}")
+        return solve_v_IV(x, c, p, v0)
+    return None
 
 
 def tangent_pi(x: Point, c: DerivedConstants, p: Params) -> float:
@@ -207,7 +210,7 @@ def dv_sign_check(x: Point, region: Region, p: Params, c: DerivedConstants) -> b
             xm = (x1 - h, x2) if coord == 0 else (x1, x2 - h)
             if (in_domain(xp, p) and in_domain(xm, p)
                     and classify(xp, c, p) == region and classify(xm, c, p) == region):
-                return (_solve_v(xp, region, p, c) - _solve_v(xm, region, p, c)) / (2.0 * h)
+                return (_solve_v(xp, region, c, p) - _solve_v(xm, region, c, p)) / (2.0 * h)
             h *= 1e-2
         raise SolveError(f"finite-difference step keeps crossing a boundary at x={x}")
 

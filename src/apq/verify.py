@@ -34,7 +34,7 @@ from .errors import DomainError, SolveError
 from .extremal import decompose
 from .geometry import (Point, Region, classify, gamma1_point, gammaq_point, in_domain,
                        segment_in_domain)
-from .implicit_v import dv_sign_check, solve_v_III, solve_v_IV, tangent_pi
+from .implicit_v import _solve_v, dv_sign_check, tangent_pi
 from .params import DerivedConstants, Params, require_powers
 from .weights import apq_norm, step_weight
 
@@ -133,14 +133,8 @@ def _region_evaluator(x: Point, c: DerivedConstants, p: Params):
     solves from the center's parameter; valid on stencils that stay in the
     region (the samplers enforce that)."""
     region = classify(x, c, p)
-    if region == Region.III:
-        v0 = solve_v_III(x, p)
-        return lambda pt: evaluate_region_formula(pt, region, c, p, solve_v_III(pt, p, v0=v0))
-    if region == Region.IV:
-        v0 = solve_v_IV(x, c, p)
-        return lambda pt: evaluate_region_formula(pt, region, c, p,
-                                                  solve_v_IV(pt, c, p, v0=v0))
-    return lambda pt: evaluate(pt, c, p).value
+    v0 = _solve_v(x, region, c, p)
+    return lambda pt: evaluate_region_formula(pt, region, c, p, _solve_v(pt, region, c, p, v0))
 
 
 _D1_OFFSETS = (-2.0, -1.0, 1.0, 2.0)

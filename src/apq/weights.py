@@ -101,10 +101,10 @@ def step_weight(breaks: list[float], values: list[float]) -> Weight:
     return Weight(tuple(pieces))
 
 
-def _piece_integral(pc: Piece, p: float, lo: float, hi: float) -> float:
-    """Integral of w**p over [lo, hi] inside the piece (no averaging)."""
-    if hi <= lo:
-        return 0.0
+def _piece_integral(pc: Piece, p: float, lo: float | np.ndarray,
+                    hi: float | np.ndarray) -> float | np.ndarray:
+    """Integral of w**p over [lo, hi] inside the piece (no averaging); lo and
+    hi may be numpy arrays that broadcast, a column of starts by a row of ends."""
     try:
         if isinstance(pc, ConstPiece):
             return pc.value**p * (hi - lo)
@@ -114,16 +114,16 @@ def _piece_integral(pc: Piece, p: float, lo: float, hi: float) -> float:
             f"moment p={p} overflows double precision on piece {pc}")
 
 
-def _power_piece_integral(pc: "PowerPiece", p: float, lo: float, hi: float) -> float:
+def _power_piece_integral(pc: "PowerPiece", p: float, lo: float | np.ndarray,
+                          hi: float | np.ndarray) -> float | np.ndarray:
     e = pc.exponent * p
     cp = pc.coef**p
-    if lo <= 0.0:
-        if e >= 1.0:
-            raise NonIntegrableError(
-                f"moment p={p} diverges: power piece at 0 with exponent*p={e}")
-        return cp * hi ** (1.0 - e) / (1.0 - e)
-    if abs(1.0 - e) < 1e-13:
-        return cp * math.log(hi / lo)
+    if e >= 1.0 and np.any(lo <= 0.0):
+        raise NonIntegrableError(
+            f"moment p={p} diverges: power piece at 0 with exponent*p={e}")
+    if abs(1.0 - e) < 1e-13 and np.all(lo > 0.0):
+        return cp * np.log(hi / lo)
+    # At lo = 0 the lower term is 0.0**(1 - e) = 0.0 exactly.
     return cp * (hi ** (1.0 - e) - lo ** (1.0 - e)) / (1.0 - e)
 
 
@@ -310,6 +310,23 @@ def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed:
     return ratio
 
 
+def _grid_averages(w: Weight, p: Params, ts: np.ndarray) -> np.ndarray:
+    """Averages of w**p1 and w**p2 over each candidate interval [ts[i], ts[j]],
+    i < j, as a (2, n, n) array: moment's closed forms, summed in its order.
+    The intervals that overlap a piece form one block, the starts before its
+    end by the ends after its start."""
+    ints = np.zeros((2, len(ts), len(ts)))
+    with np.errstate(all="ignore"):
+        for pc in w.pieces:
+            rows = int(np.searchsorted(ts, pc.hi))
+            cols = int(np.searchsorted(ts, pc.lo, side="right"))
+            lo = np.maximum(ts[:rows], pc.lo)[:, None]
+            hi = np.minimum(ts[cols:], pc.hi)[None, :]
+            ints[0, :rows, cols:] += _piece_integral(pc, p.p1, lo, hi)
+            ints[1, :rows, cols:] += _piece_integral(pc, p.p2, lo, hi)
+        return ints / (ts[None, :] - ts[:, None])
+
+
 def _step_log_norm(w: Weight, p: Params) -> float:
     """log of the exact class norm of a weight made of constant pieces.
 
@@ -341,49 +358,30 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     Exact for step weights (every piece a ConstPiece).  With power pieces it
     is a lower estimate: candidate endpoints are all breakpoints plus
     `resolution` geometric subdivisions per piece, and the best grid cell
-    gets one coordinate-wise golden-section refinement.  Each refinement step
-    integrates only the piece that holds the moving endpoint: whole pieces
-    come from one per-piece table, the fixed endpoint's piece from a cache.
+    gets one coordinate-wise golden-section refinement.  Grid and refinement
+    integrate each interval from the closed forms of its own pieces, as
+    moment does.  Each refinement step integrates only the piece that holds
+    the moving endpoint: whole pieces come from one per-piece table, the
+    fixed endpoint's piece from a cache.
     """
     require_powers(p, "apq_norm")
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
     if all(isinstance(pc, ConstPiece) for pc in w.pieces):
         return math.exp(_step_log_norm(w, p))
+    # The whole-piece table first: a divergent or overflowing piece raises here.
+    table = _piece_table(w, p)
     ts = _candidate_points(w, resolution)
     n = len(ts)
 
-    # Cumulative integrals of w**p at the candidate points -> O(1) averages.
-    def cumulative(pexp: float) -> np.ndarray:
-        cum = np.empty(n)
-        piece_iter = iter(w.pieces)
-        pc = next(piece_iter)
-        prev_t = ts[0]
-        total = 0.0
-        for i, t in enumerate(ts):
-            while t > pc.hi + 1e-18:
-                total += _piece_integral(pc, pexp, max(prev_t, pc.lo), pc.hi)
-                prev_t = pc.hi
-                pc = next(piece_iter)
-            total += _piece_integral(pc, pexp, max(prev_t, pc.lo), min(t, pc.hi))
-            prev_t = t
-            cum[i] = total
-        return cum
-
-    cum1 = cumulative(p.p1)
-    cum2 = cumulative(p.p2)
-    lengths = ts[None, :] - ts[:, None]
+    m1, m2 = _grid_averages(w, p, ts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m1 = (cum1[None, :] - cum1[:, None]) / lengths
-        m2 = (cum2[None, :] - cum2[:, None]) / lengths
         logr = np.log(m1) / p.p1 - np.log(m2) / p.p2
-    logr[~np.triu(np.ones((n, n), dtype=bool), k=1)] = -np.inf
-    logr[~np.isfinite(logr)] = -np.inf
+    logr[~np.triu(np.isfinite(logr), k=1)] = -np.inf
     i, j = np.unravel_index(int(np.argmax(logr)), logr.shape)
     best = math.exp(logr[i, j])
 
     # One local refinement of each endpoint inside its neighbor cells.
-    table = _piece_table(w, p)
     alpha, beta = float(ts[i]), float(ts[j])
     a_lo = float(ts[i - 1]) if i > 0 else alpha
     a_hi = min(float(ts[i + 1]), beta * (1.0 - 1e-12)) if i + 1 < n else alpha

@@ -212,6 +212,19 @@ def test_region_i_chords_of_an_extreme_class_stay_in_the_class():
         assert apq_norm(w, p) <= p.q * (1.0 + 1e-12), x
 
 
+def test_region_iv_weights_of_extreme_classes_stay_in_the_class():
+    # The class norm once put 37 of these (5, 4, 1000) weights and 17 of the
+    # (6, 5.5, 2) ones above Q, up to 1531 Q, from cancelled prefix sums.
+    for cls in [(5.0, 4.0, 1000.0), (6.0, 5.5, 2.0)]:
+        p, c = setup(*cls)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            x = sample_region_point(rng, c, p, Region.IV)
+            w, plan = build(x, c, p)
+            assert plan.region == Region.IV
+            assert apq_norm(w, p) <= p.q * (1.0 + 1e-12), x
+
+
 def test_sliver_chord_stays_inside():
     # Points between the upper tangent line from (1, 1) and the extreme curve,
     # beyond the touch point: the chord through (1, 1) leaves the domain, and

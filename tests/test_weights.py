@@ -11,7 +11,8 @@ from apq import (DomainError, NonIntegrableError, Params, PowerPiece, Region, We
                  weight_from_json, weight_to_json)
 from apq import weights
 from apq.verify import sample_region_point
-from apq.weights import ConstPiece, _piece_table, _sweep
+from apq.weights import (ConstPiece, _candidate_points, _grid_averages, _piece_table,
+                         _sweep)
 
 from conftest import setup
 
@@ -210,6 +211,37 @@ def test_refinement_ratio_is_the_moment_ratio_bit_for_bit():
                     want = math.exp(math.log(moment(w, p.p1, (a, b))) / p.p1
                                     - math.log(moment(w, p.p2, (a, b))) / p.p2)
                     assert ratio(t) == want, (w, p, a, b, left)
+
+
+def test_norm_grid_averages_are_the_moments():
+    # In region-IV weights of (5, 4, 1000) and (6, 5.5, 2) an early piece's
+    # integral dwarfs the later ones, so averages formed as prefix-sum
+    # differences cancel; the grid must match moment up to vector-pow rounding.
+    cases = [_region_iv_weight(p1, p2, 20 + k)
+             for k, (p1, p2) in enumerate([(1.0, -1.0), (2.0, 1.0), (2.0, -1.0), (-0.5, -2.0)])]
+    for cls in [(5.0, 4.0, 1000.0), (6.0, 5.5, 2.0)]:
+        p, c = setup(*cls)
+        rng = np.random.default_rng(3)
+        cases += [(build(sample_region_point(rng, c, p, Region.IV), c, p)[0], p)
+                  for _ in range(5)]
+    cases += [(power_witness(2.0), Params(1.0, -1.0, 2.0)), POWER_HEAD, POWER_MIDDLE]
+    for w, p in cases:
+        ts = _candidate_points(w, 16)
+        grid = _grid_averages(w, p, ts)
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                for k, pexp in enumerate((p.p1, p.p2)):
+                    want = moment(w, pexp, (float(ts[i]), float(ts[j])))
+                    assert abs(grid[k, i, j] - want) <= 1e-12 * abs(want), (w, p, i, j, pexp)
+
+
+def test_norm_raises_non_integrable_not_overflow():
+    p = Params(2.0, -1.0, 50.0)
+    overflowing = Weight((ConstPiece(0.0, 0.5, 1e200), PowerPiece(0.5, 1.0, 1.0, 0.3)))
+    divergent = Weight((PowerPiece(0.0, 0.5, 1.0, 0.6), ConstPiece(0.5, 1.0, 1.0)))
+    for w in (overflowing, divergent):
+        with pytest.raises(NonIntegrableError):
+            apq_norm(w, p)
 
 
 def test_power_norm_refines_without_moment(monkeypatch):

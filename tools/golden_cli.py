@@ -156,6 +156,12 @@ def invocations(weight_dir: str) -> dict[str, list[str]]:
     # extremum within rounding of the chord's far end.
     inv["extremal_5_4_3_I_chord"] = ["extremal", *_cls("5", "4", "3"),
                                      *_at((1.8415920913321516e16, 154540798777.49905))]
+    # Region-IV points of extreme classes whose weights the class norm once
+    # put far above Q, from grid integrals taken as prefix-sum differences.
+    inv["extremal_6_5.5_2_IV"] = ["extremal", *_cls("6", "5.5", "2"),
+                                  *_at((1.863126428001875e-51, 7.691269864851049e-49))]
+    inv["extremal_5_4_1000_IV"] = ["extremal", *_cls("5", "4", "1000"),
+                                   *_at((1.481054462903735e-124, 1.2437432711802811e-102))]
     # Valid points whose residuals overflow or meet inf - inf in fsum.
     for name, argv in LEAKS.items():
         inv[name] = argv
