@@ -17,10 +17,9 @@ from .params import DerivedConstants, Params, ainf_constants, derive_constants, 
 from .rh import RHCheck, RHResult, alpha0, power_witness, rh_check, rh_constant
 from .verify import (VerifyReport, check_concavity, check_dv_signs,
                      check_majorization, oracle_max)
-from .weights import (ConstPiece, Piece, PowerPiece, Weight, apq_norm,
-                      constant_weight, cutoff_above, cutoff_below,
-                      distribution, moment, scale_weight, step_weight,
-                      weight_from_json, weight_to_json)
+from .weights import (Piece, Weight, apq_norm, constant_weight, cutoff_above,
+                      cutoff_below, distribution, moment, scale_weight,
+                      step_weight, weight_from_json, weight_to_json)
 
 __all__ = [
     "ApqError", "DomainError", "SolveError", "NonIntegrableError",
@@ -30,7 +29,7 @@ __all__ = [
     "solve_v_III", "solve_v_IV", "dv_sign_check", "tangent_pi",
     "BellmanValue", "Gradient", "evaluate", "evaluate_lambda", "gradient",
     "evaluate_a2", "evaluate_ainf",
-    "Weight", "Piece", "ConstPiece", "PowerPiece",
+    "Weight", "Piece",
     "constant_weight", "step_weight", "moment", "distribution", "apq_norm",
     "cutoff_below", "cutoff_above", "scale_weight",
     "weight_to_json", "weight_from_json",

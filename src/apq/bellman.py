@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .geometry import (Point, Region, _split_quantities, classify, in_domain, on_gamma1,
+from .geometry import (Point, Region, _split_quantities, classify, in_domain, locate,
                        region_of)
 from .implicit_v import _chord_slope_log, _solve_v, solve_v_III, solve_v_IV
 from .params import DerivedConstants, Params, ainf_constants, require_powers
@@ -98,10 +98,11 @@ def evaluate_region_formula(x: Point, region: Region, c: DerivedConstants, p: Pa
 
 def evaluate(x: Point, c: DerivedConstants, p: Params) -> BellmanValue:
     """The sharp bound at x with threshold 1."""
-    if not in_domain(x, p):
+    inside, on_unit_curve = locate(x, p)
+    if not inside:
         raise DomainError(f"point {x} outside the moment domain")
     region = region_of(x, c, p)
-    if on_gamma1(x, p):
+    if on_unit_curve:
         v = math.exp(math.log(x[0]) / p.p1)
         return BellmanValue(value=1.0 if v >= 1.0 else 0.0, region=region, v=v)
     if region == Region.I:
@@ -187,10 +188,11 @@ def evaluate_a2(x: Point, q: float) -> BellmanValue:
     if not (math.isfinite(q) and q > 1.0):
         raise DomainError(f"need Q > 1, got {q}")
     p, c = _a2_setup(q)
-    if not in_domain(x, p):
+    inside, on_unit_curve = locate(x, p)
+    if not inside:
         raise DomainError(f"point {x} outside the A2 domain 1 <= x1*x2 <= {q}")
     x1, x2 = x
-    if on_gamma1(x, p):
+    if on_unit_curve:
         return BellmanValue(value=1.0 if x1 >= 1.0 else 0.0, region=classify(x, c, p), v=x1)
     region = classify(x, c, p)
     if region == Region.I:

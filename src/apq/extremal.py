@@ -45,7 +45,7 @@ from .geometry import (Point, Region, gamma1_point, on_gamma1, on_gammaq, segmen
                        side)
 from .implicit_v import _chord_crossing
 from .params import DerivedConstants, Params, require_powers
-from .weights import ConstPiece, Piece, PowerPiece, Weight, moment
+from .weights import Piece, Weight, moment
 
 
 @dataclass(frozen=True)
@@ -200,16 +200,16 @@ def _boundary_iv_pieces(v: float, c: DerivedConstants, p: Params,
     b2 = a * lam
     pieces: list[Piece] = []
     if b1 > 0.0:
-        pieces.append(ConstPiece(0.0, b1, 1.0))
+        pieces.append(Piece(0.0, b1, 1.0))
     if b2 > b1:
-        pieces.append(ConstPiece(b1, b2, c.v_minus))
+        pieces.append(Piece(b1, b2, c.v_minus))
     if tail_end > b2:
         coef = c.v_minus * b2**c.nu
         if not (coef > 0.0 and math.isfinite(coef)):
             raise SolveError(
                 f"power-tail coefficient {coef} not representable in double "
                 f"precision (nu={c.nu}); parameters too extreme")
-        pieces.append(PowerPiece(b2, tail_end, coef, c.nu))
+        pieces.append(Piece(b2, tail_end, coef, c.nu))
     return pieces
 
 
@@ -225,7 +225,7 @@ def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPla
             raise SolveError(f"degenerate tangent mixing weight at {x}")
         pieces = _boundary_iv_pieces(v, c, p, lam, lam)
         if lam < 1.0:
-            pieces.append(ConstPiece(lam, 1.0, v))
+            pieces.append(Piece(lam, 1.0, v))
         a = math.exp(math.log(v / c.v_minus) / c.nu)
         plan = ExtremalPlan(Region.IV, {"v": v, "nu": c.nu, "a": a, "lambda_glue": lam})
         return _verified(Weight(tuple(pieces)), plan, x, p)
@@ -249,7 +249,7 @@ def build(x: Point, c: DerivedConstants, p: Params) -> tuple[Weight, ExtremalPla
     for k, (length, value) in enumerate(steps):
         hi = 1.0 if k == len(steps) - 1 else min(lo + length, 1.0)
         if hi > lo:
-            pieces.append(ConstPiece(lo, hi, value))
+            pieces.append(Piece(lo, hi, value))
         lo = hi
     return _verified(Weight(tuple(pieces)), ExtremalPlan(region, data), x, p)
 

@@ -69,16 +69,22 @@ def _log_q_band(p: Params, slack: float) -> tuple[float, float]:
     return lq, slack * (lq if lq > 1.0 else 1.0)
 
 
-def in_domain(x: Point, p: Params, slack: float = _SLACK) -> bool:
-    """Membership in the moment domain with relative slack at both boundaries."""
+def locate(x: Point, p: Params, slack: float = _SLACK) -> tuple[bool, bool]:
+    """(x in the moment domain, x on the unit curve), both with relative slack,
+    from one log_ratio and one log Q."""
     x1, x2 = x
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise DomainError(f"non-finite point {x}")
     if x1 <= 0.0 or (x2 <= 0.0 and p.p2 != 0.0):
-        return False
+        return False, False
     r = log_ratio(x, p)
     lq, s = _log_q_band(p, slack)
-    return -s <= r <= lq + s
+    return -s <= r <= lq + s, abs(r) <= s
+
+
+def in_domain(x: Point, p: Params, slack: float = _SLACK) -> bool:
+    """Membership in the moment domain with relative slack at both boundaries."""
+    return locate(x, p, slack)[0]
 
 
 def _stationary_log_ratio(a: Point, b: Point, p: Params) -> float | None:

@@ -29,7 +29,7 @@ from .bellman import _a2_setup
 from .errors import DomainError, NonIntegrableError, SolveError
 from .geometry import Point
 from .params import Params, derive_constants
-from .weights import PowerPiece, Weight, moment
+from .weights import Piece, Weight, moment
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def moment_divergence_alpha(w: Weight) -> float:
     """
     threshold = math.inf
     for pc in w.pieces:
-        if isinstance(pc, PowerPiece) and pc.lo == 0.0 and pc.exponent > 0.0:
+        if pc.lo == 0.0 and pc.exponent > 0.0:
             threshold = min(threshold, 1.0 / pc.exponent - 1.0)
     return threshold
 
@@ -222,7 +222,7 @@ def power_witness(q: float) -> Weight:
     """
     p = Params(1.0, -1.0, q)
     c = derive_constants(p)
-    return Weight((PowerPiece(0.0, 1.0, 1.0, c.nu),))
+    return Weight((Piece(0.0, 1.0, 1.0, c.nu),))
 
 
 def rh_check(w: Weight, alpha: float, p: Params) -> RHCheck:

@@ -94,14 +94,21 @@ _SAMPLE_TRIES = 20000
 
 def sample_point(rng: np.random.Generator, c: DerivedConstants, p: Params,
                  r_lo: float | None = None, r_hi: float | None = None) -> Point:
-    """Random in-domain point in strip coordinates (log-uniform radius)."""
+    """Random in-domain point in strip coordinates (log-uniform radius).
+
+    A draw whose power moments leave the double range is drawn again from
+    the same generator; SolveError after _SAMPLE_TRIES draws."""
     if r_lo is None:
         r_lo = c.v_minus * c.gamma_minus / 16.0
     if r_hi is None:
         r_hi = 4.0 * c.v_plus
-    r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-    qfrac = rng.uniform(0.0, 1.0)
-    return (r**p.p1, p.power2(r * p.q ** (-qfrac)))
+    for _ in range(_SAMPLE_TRIES):
+        r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+        qfrac = rng.uniform(0.0, 1.0)
+        x1, x2 = r**p.p1, p.power2(r * p.q ** (-qfrac))
+        if 0.0 < x1 < math.inf and math.isfinite(x2) and (x2 > 0.0 or p.p2 == 0.0):
+            return (x1, x2)
+    raise SolveError(f"could not draw a representable point in [{r_lo}, {r_hi}]")
 
 
 def sample_region_point(rng: np.random.Generator, c: DerivedConstants, p: Params,

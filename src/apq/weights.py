@@ -1,9 +1,10 @@
 """Exact calculus for piecewise weights on [0, 1].
 
-A Weight is an ordered list of pieces tiling [0, 1]; each piece is either a
-positive constant or a power profile w(t) = coef * t**(-exponent).  Moments,
-the distribution function |{w >= level}|, and level cutoffs are all exact
-closed forms; the class norm, sup over subintervals of
+A Weight is an ordered list of pieces tiling [0, 1].  Every piece is a power
+profile w(t) = value * t**(-exponent); a constant is the exponent-0 member of
+the family, and the wire format writes it as kind "const".  Moments, the
+distribution function |{w >= level}|, and level cutoffs are all exact closed
+forms; the class norm, sup over subintervals of
 <w**p1>**(1/p1) * <w**p2>**(-1/p2), is exact for step weights and a
 grid-plus-refinement lower estimate for weights with power pieces.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,30 +27,20 @@ from .params import Params, require_powers
 
 
 @dataclass(frozen=True)
-class ConstPiece:
+class Piece:
+    """w(t) = value * t**(-exponent) on [lo, hi); value is w(1), and a
+    constant piece has exponent 0."""
+
     lo: float
     hi: float
     value: float
+    exponent: float = 0.0
 
     def to_json(self) -> dict:
-        return {"kind": "const", "value": self.value, "lo": self.lo, "hi": self.hi}
-
-
-@dataclass(frozen=True)
-class PowerPiece:
-    """w(t) = coef * t**(-exponent) on [lo, hi)."""
-
-    lo: float
-    hi: float
-    coef: float
-    exponent: float
-
-    def to_json(self) -> dict:
-        return {"kind": "power", "coef": self.coef, "exponent": self.exponent,
+        if self.exponent == 0.0:
+            return {"kind": "const", "value": self.value, "lo": self.lo, "hi": self.hi}
+        return {"kind": "power", "coef": self.value, "exponent": self.exponent,
                 "lo": self.lo, "hi": self.hi}
-
-
-Piece = ConstPiece | PowerPiece
 
 
 @dataclass(frozen=True)
@@ -68,19 +59,16 @@ class Weight:
             if abs(pc.lo - prev_hi) > 1e-15:
                 raise DomainError("pieces must be contiguous")
             prev_hi = pc.hi
-            if isinstance(pc, ConstPiece):
-                if not pc.value > 0.0:
-                    raise DomainError("constant pieces must be positive")
-            else:
-                if not pc.coef > 0.0:
-                    raise DomainError("power pieces need a positive coefficient")
+            if not pc.value > 0.0:
+                raise DomainError("pieces need a positive value")
 
     def value_at(self, t: float) -> float:
+        """w(t); a decreasing power head is infinite at t = 0."""
         for pc in self.pieces:
             if pc.lo <= t <= pc.hi:
-                if isinstance(pc, ConstPiece):
-                    return pc.value
-                return pc.coef * t ** (-pc.exponent)
+                if t == 0.0 and pc.exponent > 0.0:
+                    return math.inf
+                return pc.value * t ** (-pc.exponent)
         raise DomainError(f"t={t} outside [0, 1]")
 
     def breakpoints(self) -> list[float]:
@@ -88,7 +76,7 @@ class Weight:
 
 
 def constant_weight(value: float) -> Weight:
-    return Weight((ConstPiece(0.0, 1.0, value),))
+    return Weight((Piece(0.0, 1.0, value),))
 
 
 def step_weight(breaks: list[float], values: list[float]) -> Weight:
@@ -96,7 +84,7 @@ def step_weight(breaks: list[float], values: list[float]) -> Weight:
     ts = [0.0] + list(breaks) + [1.0]
     if len(values) != len(ts) - 1:
         raise DomainError("need one value per step")
-    pieces = [ConstPiece(ts[i], ts[i + 1], values[i]) for i in range(len(values))
+    pieces = [Piece(ts[i], ts[i + 1], values[i]) for i in range(len(values))
               if ts[i + 1] > ts[i]]
     return Weight(tuple(pieces))
 
@@ -106,25 +94,20 @@ def _piece_integral(pc: Piece, p: float, lo: float | np.ndarray,
     """Integral of w**p over [lo, hi] inside the piece (no averaging); lo and
     hi may be numpy arrays that broadcast, a column of starts by a row of ends."""
     try:
-        if isinstance(pc, ConstPiece):
-            return pc.value**p * (hi - lo)
-        return _power_piece_integral(pc, p, lo, hi)
+        e = pc.exponent * p
+        cp = pc.value**p
+        if e == 0.0:
+            return cp * (hi - lo)
+        if e >= 1.0 and np.any(lo <= 0.0):
+            raise NonIntegrableError(
+                f"moment p={p} diverges: power piece at 0 with exponent*p={e}")
+        if abs(1.0 - e) < 1e-13 and np.all(lo > 0.0):
+            return cp * np.log(hi / lo)
+        # At lo = 0 the lower term is 0.0**(1 - e) = 0.0 exactly.
+        return cp * (hi ** (1.0 - e) - lo ** (1.0 - e)) / (1.0 - e)
     except OverflowError:
         raise NonIntegrableError(
             f"moment p={p} overflows double precision on piece {pc}")
-
-
-def _power_piece_integral(pc: "PowerPiece", p: float, lo: float | np.ndarray,
-                          hi: float | np.ndarray) -> float | np.ndarray:
-    e = pc.exponent * p
-    cp = pc.coef**p
-    if e >= 1.0 and np.any(lo <= 0.0):
-        raise NonIntegrableError(
-            f"moment p={p} diverges: power piece at 0 with exponent*p={e}")
-    if abs(1.0 - e) < 1e-13 and np.all(lo > 0.0):
-        return cp * np.log(hi / lo)
-    # At lo = 0 the lower term is 0.0**(1 - e) = 0.0 exactly.
-    return cp * (hi ** (1.0 - e) - lo ** (1.0 - e)) / (1.0 - e)
 
 
 def moment(w: Weight, p: float, interval: tuple[float, float] = (0.0, 1.0)) -> float:
@@ -141,26 +124,31 @@ def moment(w: Weight, p: float, interval: tuple[float, float] = (0.0, 1.0)) -> f
     return total / (beta - alpha)
 
 
+def _at_least(pc: Piece, level: float) -> tuple[float, float]:
+    """The part [a, b) of the piece where w >= level, a <= b clipped to it.
+
+    A power profile crosses the level once, at t_star; a crossing past the
+    double range lies beyond the piece."""
+    e = pc.exponent
+    if e == 0.0:
+        return (pc.lo, pc.hi) if pc.value >= level else (pc.hi, pc.hi)
+    try:
+        t_star = (pc.value / level) ** (1.0 / e)
+    except (OverflowError, ZeroDivisionError):
+        t_star = math.inf
+    if e > 0.0:  # decreasing: w >= level iff t <= t_star
+        return pc.lo, max(pc.lo, min(pc.hi, t_star))
+    return min(pc.hi, max(pc.lo, t_star)), pc.hi  # increasing: iff t >= t_star
+
+
 def distribution(w: Weight, level: float) -> float:
     """Exact measure of {t in [0,1] : w(t) >= level}."""
     if level <= 0.0:
         return 1.0
     total = 0.0
     for pc in w.pieces:
-        if isinstance(pc, ConstPiece):
-            if pc.value >= level:
-                total += pc.hi - pc.lo
-            continue
-        e = pc.exponent
-        if e == 0.0:
-            if pc.coef >= level:
-                total += pc.hi - pc.lo
-            continue
-        t_star = (pc.coef / level) ** (1.0 / e)
-        if e > 0.0:  # decreasing: w >= level iff t <= t_star
-            total += max(0.0, min(pc.hi, t_star) - pc.lo)
-        else:  # increasing: w >= level iff t >= t_star
-            total += max(0.0, pc.hi - max(pc.lo, t_star))
+        a, b = _at_least(pc, level)
+        total += b - a
     return total
 
 
@@ -168,78 +156,41 @@ def scale_weight(w: Weight, s: float) -> Weight:
     """Pointwise s*w for s > 0."""
     if not s > 0.0:
         raise DomainError("scale factor must be positive")
-    out: list[Piece] = []
-    for pc in w.pieces:
-        if isinstance(pc, ConstPiece):
-            out.append(ConstPiece(pc.lo, pc.hi, pc.value * s))
-        else:
-            out.append(PowerPiece(pc.lo, pc.hi, pc.coef * s, pc.exponent))
-    return Weight(tuple(out))
-
-
-def _merge_consts(pieces: list[Piece]) -> tuple[Piece, ...]:
-    out: list[Piece] = []
-    for pc in pieces:
-        if pc.hi <= pc.lo:
-            continue
-        if (out and isinstance(pc, ConstPiece) and isinstance(out[-1], ConstPiece)
-                and out[-1].value == pc.value):
-            out[-1] = ConstPiece(out[-1].lo, pc.hi, pc.value)
-        else:
-            out.append(pc)
-    return tuple(out)
+    return Weight(tuple(replace(pc, value=pc.value * s) for pc in w.pieces))
 
 
 def _cut_piece(pc: Piece, level: float, keep_below: bool) -> list[Piece]:
-    """min(w, level) on the piece when keep_below, else max(w, level)."""
-    if isinstance(pc, ConstPiece):
-        v = min(pc.value, level) if keep_below else max(pc.value, level)
-        return [ConstPiece(pc.lo, pc.hi, v)]
-    e = pc.exponent
-    if e == 0.0:
-        v = min(pc.coef, level) if keep_below else max(pc.coef, level)
-        return [ConstPiece(pc.lo, pc.hi, v)]
-    t_star = (pc.coef / level) ** (1.0 / e)
-    # For e > 0 the profile decreases, so w > level exactly on t < t_star.
-    if t_star <= pc.lo:
-        above_first = False
-        split = None
-    elif t_star >= pc.hi:
-        above_first = True
-        split = None
-    else:
-        above_first = True
-        split = t_star
-    if e < 0.0:  # increasing profile: w > level on t > t_star
-        above_first = not above_first
+    """min(w, level) on the piece when keep_below, else max(w, level): the
+    level replaces w on the part at or above it, or on the parts below it."""
+    a, b = _at_least(pc, level)
+    parts = ((pc.lo, a, not keep_below), (a, b, keep_below), (b, pc.hi, not keep_below))
+    return [Piece(lo, hi, level) if clamp else replace(pc, lo=lo, hi=hi)
+            for lo, hi, clamp in parts if hi > lo]
 
-    def seg(lo: float, hi: float, above: bool) -> Piece:
-        clamp = (above and keep_below) or (not above and not keep_below)
-        return ConstPiece(lo, hi, level) if clamp else PowerPiece(lo, hi, pc.coef, e)
 
-    if split is None:
-        return [seg(pc.lo, pc.hi, above_first)]
-    return [seg(pc.lo, split, above_first), seg(split, pc.hi, not above_first)]
+def _cutoff(w: Weight, level: float, keep_below: bool) -> Weight:
+    """The pieces cut one by one; neighbouring constants of one value merge."""
+    if not level > 0.0:
+        raise DomainError("cutoff level must be positive")
+    out: list[Piece] = []
+    for pc in w.pieces:
+        for part in _cut_piece(pc, level, keep_below):
+            if (out and part.exponent == 0.0 and out[-1].exponent == 0.0
+                    and out[-1].value == part.value):
+                out[-1] = replace(out[-1], hi=part.hi)
+            else:
+                out.append(part)
+    return Weight(tuple(out))
 
 
 def cutoff_below(w: Weight, level: float) -> Weight:
     """Pointwise min(w, level) as a valid piece list."""
-    if not level > 0.0:
-        raise DomainError("cutoff level must be positive")
-    pieces: list[Piece] = []
-    for pc in w.pieces:
-        pieces.extend(_cut_piece(pc, level, keep_below=True))
-    return Weight(_merge_consts(pieces))
+    return _cutoff(w, level, keep_below=True)
 
 
 def cutoff_above(w: Weight, level: float) -> Weight:
     """Pointwise max(w, level) as a valid piece list."""
-    if not level > 0.0:
-        raise DomainError("cutoff level must be positive")
-    pieces: list[Piece] = []
-    for pc in w.pieces:
-        pieces.extend(_cut_piece(pc, level, keep_below=False))
-    return Weight(_merge_consts(pieces))
+    return _cutoff(w, level, keep_below=False)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +212,29 @@ def _candidate_points(w: Weight, resolution: int) -> np.ndarray:
 
 
 def _piece_table(w: Weight, p: Params) -> list[tuple[float, float, float]]:
-    """(integral of w**p1, integral of w**p2, length) over each whole piece."""
-    return [(_piece_integral(pc, p.p1, pc.lo, pc.hi), _piece_integral(pc, p.p2, pc.lo, pc.hi),
-             pc.hi - pc.lo) for pc in w.pieces]
+    """(integral of w**p1, integral of w**p2, length) over each whole piece;
+    NonIntegrableError where an integral underflows to 0 or overflows."""
+    table = []
+    for pc in w.pieces:
+        i1, i2 = _piece_integral(pc, p.p1, pc.lo, pc.hi), _piece_integral(pc, p.p2, pc.lo, pc.hi)
+        _check_integrals(i1, i2, p, pc)
+        table.append((i1, i2, pc.hi - pc.lo))
+    return table
+
+
+def _check_integrals(i1: float, i2: float, p: Params, where: object) -> None:
+    """NonIntegrableError unless both integrals are positive and finite: their
+    logs, which the class ratio takes, exist."""
+    if not (0.0 < i1 < math.inf and 0.0 < i2 < math.inf):
+        raise NonIntegrableError(f"moments p={p.p1}, {p.p2} leave double precision on {where}")
+
+
+def _exp_norm(log_norm: float) -> float:
+    """The class norm from its log; NonIntegrableError past the double range."""
+    try:
+        return math.exp(log_norm)
+    except OverflowError:
+        raise NonIntegrableError(f"class norm exp({log_norm}) overflows double precision")
 
 
 def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed: float,
@@ -304,8 +275,9 @@ def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed:
                 i1 += d1
                 i2 += d2
             i1, i2 = i1 + e1, i2 + e2
+        _check_integrals(i1, i2, p, (a, b))
         length = b - a
-        return math.exp(math.log(i1 / length) / p1 - math.log(i2 / length) / p2)
+        return _exp_norm(math.log(i1 / length) / p1 - math.log(i2 / length) / p2)
 
     return ratio
 
@@ -355,21 +327,22 @@ def _step_log_norm(w: Weight, p: Params) -> float:
 def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     """Class norm: sup over subintervals of <w**p1>**(1/p1) * <w**p2>**(-1/p2).
 
-    Exact for step weights (every piece a ConstPiece).  With power pieces it
+    Exact for step weights (every exponent 0).  With power pieces it
     is a lower estimate: candidate endpoints are all breakpoints plus
     `resolution` geometric subdivisions per piece, and the best grid cell
     gets one coordinate-wise golden-section refinement.  Grid and refinement
     integrate each interval from the closed forms of its own pieces, as
     moment does.  Each refinement step integrates only the piece that holds
     the moving endpoint: whole pieces come from one per-piece table, the
-    fixed endpoint's piece from a cache.
+    fixed endpoint's piece from a cache.  A whole-piece integral or a norm
+    outside the double range raises NonIntegrableError.
     """
     require_powers(p, "apq_norm")
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
-    if all(isinstance(pc, ConstPiece) for pc in w.pieces):
-        return math.exp(_step_log_norm(w, p))
-    # The whole-piece table first: a divergent or overflowing piece raises here.
+    if all(pc.exponent == 0.0 for pc in w.pieces):
+        return _exp_norm(_step_log_norm(w, p))
+    # The whole-piece table first: a divergent or unrepresentable piece raises here.
     table = _piece_table(w, p)
     ts = _candidate_points(w, resolution)
     n = len(ts)
@@ -379,7 +352,7 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
         logr = np.log(m1) / p.p1 - np.log(m2) / p.p2
     logr[~np.triu(np.isfinite(logr), k=1)] = -np.inf
     i, j = np.unravel_index(int(np.argmax(logr)), logr.shape)
-    best = math.exp(logr[i, j])
+    best = _exp_norm(logr[i, j])
 
     # One local refinement of each endpoint inside its neighbor cells.
     alpha, beta = float(ts[i]), float(ts[j])
@@ -415,11 +388,10 @@ def weight_from_json(doc: dict) -> Weight:
     for item in raw:
         kind = item.get("kind")
         if kind == "const":
-            pieces.append(ConstPiece(float(item["lo"]), float(item["hi"]),
-                                     float(item["value"])))
+            pieces.append(Piece(float(item["lo"]), float(item["hi"]), float(item["value"])))
         elif kind == "power":
-            pieces.append(PowerPiece(float(item["lo"]), float(item["hi"]),
-                                     float(item["coef"]), float(item["exponent"])))
+            pieces.append(Piece(float(item["lo"]), float(item["hi"]),
+                                float(item["coef"]), float(item["exponent"])))
         else:
             raise DomainError(f"unknown piece kind {kind!r}")
     return Weight(tuple(pieces))

@@ -9,6 +9,7 @@ import pytest
 from apq import (DomainError, Region, evaluate, evaluate_a2, evaluate_ainf,
                  evaluate_lambda, gradient)
 from apq.bellman import evaluate_region_formula, gradient_IV
+from apq import geometry
 from apq.cli import main
 from apq.geometry import gammaq_point
 from apq.implicit_v import solve_v_III, solve_v_IV
@@ -19,6 +20,23 @@ from conftest import CASES, boundary_samples, gamma1, random_in_domain, \
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "apqbench"))
 from reference import Reference  # noqa: E402
+
+
+def test_evaluate_takes_one_log_ratio(monkeypatch):
+    calls = []
+    real = geometry.log_ratio
+
+    def counted(x, p):
+        calls.append(x)
+        return real(x, p)
+
+    monkeypatch.setattr(geometry, "log_ratio", counted)
+    for p1, p2 in CASES:
+        p, c = setup(p1, p2)
+        for x in (gamma1(0.7, p), gamma1(1.3, p)):
+            calls.clear()
+            assert evaluate(x, c, p).value == (1.0 if x[0] ** (1.0 / p1) >= 1.0 else 0.0)
+            assert len(calls) == 1
 
 
 def _iv_boundary_oracle(v, c, p):

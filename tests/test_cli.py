@@ -187,6 +187,18 @@ def test_norm_command(tmp_path, capsys):
     assert abs(json.loads(out)["norm"] - 1.125) <= 1e-9
 
 
+def test_norm_past_double_range_exits_domain(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"pieces": [
+        {"kind": "const", "value": 1e-160, "lo": 0.0, "hi": 0.5},
+        {"kind": "const", "value": 1e150, "lo": 0.5, "hi": 1.0},
+    ]}))
+    code, out = run_cli(capsys, "norm", "--p1", "1", "--p2", "-1", "--q", "2",
+                        "--weight", str(wfile))
+    assert code == 2
+    assert "double precision" in json.loads(out)["error"]
+
+
 def test_region_command(capsys):
     code, out = run_cli(capsys, "region", "--p1", "1", "--p2", "-1", "--q", "2",
                         "--x1", "1.5", "--x2", "1.0")

@@ -9,7 +9,6 @@ from apq.extremal import (_boundary_iv_pieces, _tangent_mix, decompose, region1_
                           region2_segment)
 from apq.geometry import gamma1_point, segment_log_ratio_range
 from apq.verify import sample_region_point
-from apq.weights import PowerPiece
 
 from conftest import CASES, gamma1, random_in_region, setup
 
@@ -44,7 +43,7 @@ def test_extreme_curve_example(a2_setup):
     assert abs(rho - 0.5) <= 1e-15
     assert abs(plan.data["a"] - a) <= 1e-9
     assert abs(plan.data["lambda_glue"] - 1.0) <= 1e-12
-    assert isinstance(w.pieces[-1], PowerPiece)
+    assert w.pieces[-1].exponent == c.nu
     assert abs(distribution(w, 1.0) - rho * a) <= 1e-9
     assert abs(distribution(w, 1.0) - evaluate(x, c, p).value) <= 1e-7
 

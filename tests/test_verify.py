@@ -9,7 +9,7 @@ import apq.implicit_v as implicit_v
 import apq.verify as verify
 from apq import (DomainError, Params, Region, apq_norm, build, check_concavity,
                  check_dv_signs, check_majorization, derive_constants, distribution,
-                 evaluate, oracle_max, step_weight)
+                 evaluate, in_domain, oracle_max, step_weight)
 from apq.extremal import decompose
 from apq.params import derive_constants_from_gammas
 from apq.verify import lipschitz_slack, sample_point
@@ -91,6 +91,16 @@ def test_oracle_domination(a2_setup):
         got = oracle_max(x, c, p, n_pieces=3, value_grid=24, break_grid=12)
         bound = evaluate(x, c, p).value
         assert got <= bound + lipschitz_slack(x, c, p) + 1e-9
+
+
+def test_sample_point_stays_in_the_domain():
+    # Here r**p1 underflowed to 0 on 116 of 2,000 draws.
+    p, c = setup(5.882564297636952, 5.440200579719934, 195.62880100789567)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        x = sample_point(rng, c, p)
+        assert x[0] > 0.0 and x[1] > 0.0
+        assert in_domain(x, p)
 
 
 def test_oracle_found_point_below_bound():

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from apq import (DomainError, NonIntegrableError, Params, PowerPiece, Region, Weight,
+from apq import (DomainError, NonIntegrableError, Params, Piece, Region, Weight,
                  apq_norm, build, constant_weight, cutoff_above, cutoff_below,
                  distribution, moment, power_witness, scale_weight, step_weight,
                  weight_from_json, weight_to_json)
 from apq import weights
 from apq.verify import sample_region_point
-from apq.weights import (ConstPiece, _candidate_points, _grid_averages, _piece_table,
-                         _sweep)
+from apq.weights import _candidate_points, _grid_averages, _piece_table, _sweep
 
 from conftest import setup
 
@@ -26,10 +25,10 @@ def _random_weight(rng, allow_power=True):
     for i in range(n):
         lo, hi = ts[i], ts[i + 1]
         if allow_power and lo > 0.0 and rng.uniform() < 0.4:
-            pieces.append(PowerPiece(lo, hi, float(rng.uniform(0.3, 2.0)),
-                                     float(rng.uniform(-1.5, 1.5))))
+            pieces.append(Piece(lo, hi, float(rng.uniform(0.3, 2.0)),
+                                float(rng.uniform(-1.5, 1.5))))
         else:
-            pieces.append(ConstPiece(lo, hi, float(rng.uniform(0.2, 3.0))))
+            pieces.append(Piece(lo, hi, float(rng.uniform(0.2, 3.0))))
     return Weight(tuple(pieces))
 
 
@@ -56,9 +55,9 @@ def test_moment_examples(a2_setup):
     a = (v / c.v_minus) ** (1.0 / c.nu)
     rho = (c.gamma_minus - c.v_minus) / (1.0 - c.v_minus)
     w = Weight((
-        ConstPiece(0.0, rho * a, 1.0),
-        ConstPiece(rho * a, a, c.v_minus),
-        PowerPiece(a, 1.0, c.v_minus * a**c.nu, c.nu),
+        Piece(0.0, rho * a, 1.0),
+        Piece(rho * a, a, c.v_minus),
+        Piece(a, 1.0, c.v_minus * a**c.nu, c.nu),
     ))
     for pk in (1.0, -1.0):
         want = v**pk / (1.0 - c.nu * pk)
@@ -84,7 +83,7 @@ def test_moment_against_quadrature():
 
 
 def test_moment_integrability_guard():
-    w = Weight((PowerPiece(0.0, 1.0, 1.0, 0.8),))
+    w = Weight((Piece(0.0, 1.0, 1.0, 0.8),))
     assert abs(moment(w, 1.0) - 1.0 / 0.2) <= 1e-12 * 5.0
     with pytest.raises(NonIntegrableError):
         moment(w, 1.5)  # exponent*p = 1.2 >= 1 at the origin
@@ -99,11 +98,42 @@ def test_distribution_examples():
     assert distribution(w, 2.0) == 0.0
     # Decreasing power profile: threshold algebra.
     vm, nu, a = 0.2, 0.7, 0.3
-    w = Weight((ConstPiece(0.0, a, vm), PowerPiece(a, 1.0, vm * a**nu, nu)))
+    w = Weight((Piece(0.0, a, vm), Piece(a, 1.0, vm * a**nu, nu)))
     # w(t) = vm*(a/t)**nu <= vm on [a,1]; at level vm the whole tail is below.
     assert abs(distribution(w, vm) - a) <= 1e-15
     lvl = vm * (a / 0.6) ** nu  # w(0.6) == lvl
     assert abs(distribution(w, lvl) - 0.6) <= 1e-12
+
+
+# A power piece whose level crossing (3/1)**(1/1e-3) lies past the double range.
+FAR_CROSSING = Weight((Piece(0.0, 0.5, 1.0), Piece(0.5, 1.0, 3.0, 1e-3)))
+
+
+def test_distribution_is_the_pointwise_count():
+    n = 4000
+    ts = (np.arange(n) + 0.5) / n
+    rng = np.random.default_rng(11)
+    cases = [(_random_weight(rng), float(rng.uniform(0.3, 2.0))) for _ in range(40)]
+    cases += [(FAR_CROSSING, 1.0), (FAR_CROSSING, 2.9)]
+    for w, lvl in cases:
+        count = sum(w.value_at(float(t)) >= lvl for t in ts) / n
+        # Each piece crosses the level at most once, inside one grid cell.
+        assert abs(distribution(w, lvl) - count) <= len(w.pieces) / n, (w, lvl)
+
+
+def test_crossing_past_double_range_lies_beyond_the_piece():
+    assert distribution(FAR_CROSSING, 1.0) == 1.0
+    assert cutoff_below(FAR_CROSSING, 1.0) == constant_weight(1.0)
+    assert cutoff_above(FAR_CROSSING, 1.0) == FAR_CROSSING
+    # Here value/level underflows to 0, and 0.0**(1/e) with e < 0 divides by 0.
+    rising = Weight((Piece(0.0, 1.0, 1e-300, -1.0),))
+    assert distribution(rising, 1e300) == 0.0
+    assert cutoff_below(rising, 1e300) == rising
+
+
+def test_value_at_of_a_decreasing_head_at_zero():
+    assert power_witness(2.0).value_at(0.0) == math.inf
+    assert Weight((Piece(0.0, 1.0, 2.0, -0.5),)).value_at(0.0) == 0.0
 
 
 def test_scaling():
@@ -126,7 +156,7 @@ def test_apq_norm_examples(a2_setup):
     w = step_weight([0.5], [1.0, 0.5])
     assert abs(apq_norm(w, p) - 1.125) <= 1e-9
     # Pure power profile t**(-nu): norm exactly Q, attained on [0, 1].
-    u = Weight((PowerPiece(0.0, 1.0, 1.0, c.nu),))
+    u = Weight((Piece(0.0, 1.0, 1.0, c.nu),))
     got = apq_norm(u, p)
     assert got <= 2.0 * (1.0 + 1e-9)
     assert got >= 2.0 * (1.0 - 1e-9)
@@ -176,10 +206,10 @@ def test_step_norm_exact():
 
 # Power-piece weights whose refinement moves the norm well past the grid
 # estimate (the `norm_power_*` golden invocations).
-POWER_HEAD = (Weight((PowerPiece(0.0, 0.3, 1.0, 0.4), ConstPiece(0.3, 1.0, 0.2))),
+POWER_HEAD = (Weight((Piece(0.0, 0.3, 1.0, 0.4), Piece(0.3, 1.0, 0.2))),
               Params(1.0, -1.0, 50.0))
-POWER_MIDDLE = (Weight((ConstPiece(0.0, 0.2, 3.0), PowerPiece(0.2, 0.7, 0.5, -0.8),
-                        ConstPiece(0.7, 1.0, 0.4))), Params(2.0, -1.0, 50.0))
+POWER_MIDDLE = (Weight((Piece(0.0, 0.2, 3.0), Piece(0.2, 0.7, 0.5, -0.8),
+                        Piece(0.7, 1.0, 0.4))), Params(2.0, -1.0, 50.0))
 
 
 def _region_iv_weight(p1, p2, seed):
@@ -194,7 +224,7 @@ def test_refinement_ratio_is_the_moment_ratio_bit_for_bit():
     cases += [(power_witness(2.0), Params(1.0, -1.0, 2.0)), POWER_HEAD, POWER_MIDDLE]
     rng = np.random.default_rng(21)
     for w, p in cases:
-        assert any(isinstance(pc, PowerPiece) for pc in w.pieces)
+        assert any(pc.exponent != 0.0 for pc in w.pieces)
         table = _piece_table(w, p)
         bps = w.breakpoints()  # holds 0 and 1
         inside = [float(t) for t in rng.uniform(0.0, 1.0, size=6)]
@@ -237,11 +267,27 @@ def test_norm_grid_averages_are_the_moments():
 
 def test_norm_raises_non_integrable_not_overflow():
     p = Params(2.0, -1.0, 50.0)
-    overflowing = Weight((ConstPiece(0.0, 0.5, 1e200), PowerPiece(0.5, 1.0, 1.0, 0.3)))
-    divergent = Weight((PowerPiece(0.0, 0.5, 1.0, 0.6), ConstPiece(0.5, 1.0, 1.0)))
+    overflowing = Weight((Piece(0.0, 0.5, 1e200), Piece(0.5, 1.0, 1.0, 0.3)))
+    divergent = Weight((Piece(0.0, 0.5, 1.0, 0.6), Piece(0.5, 1.0, 1.0)))
     for w in (overflowing, divergent):
         with pytest.raises(NonIntegrableError):
             apq_norm(w, p)
+
+
+# A norm past the double range, from the step path and from the grid, and a
+# power piece whose coef**p2 underflows to 0.
+UNREPRESENTABLE_NORMS = [
+    (step_weight([0.5], [1e-160, 1e150]), Params(1.0, -1.0, 2.0)),
+    (Weight((Piece(0.0, 0.1, 1e234), Piece(0.1, 0.7, 1e181, 2.9), Piece(0.7, 1.0, 1e-176))),
+     Params(1.0, -1.0, 2.0)),
+    (Weight((Piece(0.0, 1.0, 3e181, 0.4),)), Params(-0.5, -2.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("w, p", UNREPRESENTABLE_NORMS)
+def test_norm_outside_double_range_raises_non_integrable(w, p):
+    with pytest.raises(NonIntegrableError):
+        apq_norm(w, p)
 
 
 def test_power_norm_refines_without_moment(monkeypatch):
@@ -280,13 +326,12 @@ def test_cutoff_splits_power_at_crossing(a2_setup):
     p, c = a2_setup
     vm, nu = c.v_minus, c.nu
     a = 0.3
-    w = Weight((ConstPiece(0.0, a, 0.05), PowerPiece(a, 1.0, vm * a**nu, nu)))
+    w = Weight((Piece(0.0, a, 0.05), Piece(a, 1.0, vm * a**nu, nu)))
     # The tail starts at value vm at t = a and decreases; a cutoff at a level
     # inside the tail's range splits the power piece at the crossing.
     lvl = vm * (a / 0.7) ** nu
     cut = cutoff_below(w, lvl)
-    kinds = [type(q).__name__ for q in cut.pieces]
-    assert kinds == ["ConstPiece", "ConstPiece", "PowerPiece"]
+    assert [q.exponent for q in cut.pieces] == [0.0, 0.0, nu]
     assert abs(cut.pieces[1].hi - 0.7) <= 1e-12
     assert cut.pieces[1].value == lvl
 
@@ -333,6 +378,16 @@ def test_two_step_membership():
             count += 1
 
 
+def test_power_piece_of_exponent_0_reads_as_constant():
+    doc = {"pieces": [{"kind": "const", "value": 2.0, "lo": 0.0, "hi": 0.3},
+                      {"kind": "power", "coef": 0.6, "exponent": 0.0, "lo": 0.3, "hi": 1.0}]}
+    w = weight_from_json(doc)
+    step = step_weight([0.3], [2.0, 0.6])
+    assert w == step
+    assert weight_to_json(w) == weight_to_json(step)
+    assert apq_norm(w, Params(1.0, -1.0, 2.0)) == 1.4083333333333332
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -341,16 +396,15 @@ def test_json_round_trip():
         w2 = weight_from_json(doc)
         assert len(w2.pieces) == len(w.pieces)
         for a, b in zip(w.pieces, w2.pieces):
-            assert type(a) is type(b)
             assert a == b  # repr round-trip through json is exact for floats
 
 
 def test_weight_validation():
     with pytest.raises(DomainError):
-        Weight((ConstPiece(0.0, 0.5, 1.0),))  # does not reach 1
+        Weight((Piece(0.0, 0.5, 1.0),))  # does not reach 1
     with pytest.raises(DomainError):
-        Weight((ConstPiece(0.0, 0.5, 1.0), ConstPiece(0.6, 1.0, 1.0)))  # gap
+        Weight((Piece(0.0, 0.5, 1.0), Piece(0.6, 1.0, 1.0)))  # gap
     with pytest.raises(DomainError):
-        Weight((ConstPiece(0.0, 1.0, -1.0),))  # nonpositive
+        Weight((Piece(0.0, 1.0, -1.0),))  # nonpositive
     with pytest.raises(DomainError):
         step_weight([0.5], [1.0])  # value count mismatch

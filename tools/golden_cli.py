@@ -98,11 +98,18 @@ POWER_MIDDLE_WEIGHT = {"pieces": [
     {"kind": "power", "coef": 0.5, "exponent": -0.8, "lo": 0.2, "hi": 0.7},
     {"kind": "const", "value": 0.4, "lo": 0.7, "hi": 1.0},
 ]}
+# A "power" piece with exponent 0 is a constant: the weight is the step
+# weight 2, 0.6 with its break at 0.3, and takes the exact step norm.
+POWER_EXPONENT_0_WEIGHT = {"pieces": [
+    {"kind": "const", "value": 2.0, "lo": 0.0, "hi": 0.3},
+    {"kind": "power", "coef": 0.6, "exponent": 0.0, "lo": 0.3, "hi": 1.0},
+]}
 # Name -> (class, weight document) of each `norm` invocation.
 NORM_WEIGHTS = {
     "found": (("1", "-1", FOUND_Q), FOUND_WEIGHT),
     "power_head": (("1", "-1", "50"), POWER_HEAD_WEIGHT),
     "power_middle": (("2", "-1", "50"), POWER_MIDDLE_WEIGHT),
+    "power_exponent_0": (("1", "-1", "2"), POWER_EXPONENT_0_WEIGHT),
 }
 
 
