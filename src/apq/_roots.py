@@ -2,14 +2,13 @@
 
 Each root the package needs is a monotone scalar problem: the tangency roots
 gamma_minus < 1 < gamma_plus, the chord crossings through U(1) (regions I
-and III), the region-IV tangent parameter, and their limiting-class
-counterparts.  All of them are solved the same way: grow a bracket
-geometrically until the sign flips (expand), then shrink it by safeguarded
-Newton-bisection (solve; rtsafe in Numerical Recipes 9.4).  The implicit
-parameters pass a derivative and settle in about ten evaluations; the
-one-shot solves pass none and bisect to float exhaustion.  The class-norm
-estimate for weights with power pieces maximises a unimodal ratio by golden
-section (golden_max).
+and III), the region-IV tangent parameter, their limiting-class
+counterparts, and the stationary point of the class ratio that the
+class-norm estimate refines towards.  All of them are solved the same way:
+grow a bracket geometrically until the sign flips (expand), then shrink it
+by safeguarded Newton-bisection (solve; rtsafe in Numerical Recipes 9.4).
+The implicit parameters pass a derivative and settle in about ten
+evaluations; the one-shot solves pass none and bisect to float exhaustion.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import math
 from .errors import SolveError
 
 _ITERATIONS = 200
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # What a residual raises far from its root: ValueError covers a math domain
 # error and fsum's inf - inf.
@@ -95,20 +93,3 @@ def solve(f, df, lo: float, hi: float, flo: float, fhi: float,
         x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
-
-def golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section search for the maximum of f on [lo, hi]; (x, f(x))."""
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
-    return (c1, f1) if f1 >= f2 else (c2, f2)

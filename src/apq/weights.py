@@ -15,12 +15,13 @@ across verification threads is safe.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._roots import golden_max
+from ._roots import solve
 from .errors import DomainError, NonIntegrableError
 from .geometry import segment_log_ratio_range
 from .params import Params, require_powers
@@ -239,19 +240,28 @@ def _exp_norm(log_norm: float) -> float:
 
 def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed: float,
            left: bool):
-    """t -> the class ratio <w**p1>**(1/p1) * <w**p2>**(-1/p2) over [t, fixed]
-    (left) or [fixed, t], one golden-refinement step.
+    """The class ratio over [t, fixed] (left) or [fixed, t] as its end t moves:
+    returns (ratio, slope).
 
-    Each call integrates only the piece that holds t; the pieces between come
-    from the whole-piece table and the fixed end's piece from a cache.  The
-    terms are summed in moment's left-to-right order (its fold from 0.0 adds
-    the first term exactly), so on pieces that meet exactly, as all the
-    package builds do, the value is bit for bit what moment's averages give.
+    ratio(t) is <w**p1>**(1/p1) * <w**p2>**(-1/p2).  slope(t0) returns the
+    pair (s, ds) on the piece that holds [t0, t0 + dt): d log(ratio)/dt is
+    s(t)/L, where, for a left end, s = (1 - y1)/p1 - (1 - y2)/p2 with
+    y_k = w(t)**p_k * L / I_k, I_k the integral of w**p_k and L the length (a
+    right end negates s), and ds is its derivative in t.  Reading w from the
+    piece, not from t, gives a jump's one-sided slopes.
+
+    Each t's integrals are formed once, however many of these read them.  Only
+    the piece that holds t is integrated; the pieces between come from the
+    whole-piece table and the fixed end's piece from a cache.  The terms are
+    summed in moment's left-to-right order (its fold from 0.0 adds the first
+    term exactly), so on pieces that meet exactly, as all the package builds
+    do, the ratio is bit for bit what moment's averages give.
     """
     pieces = w.pieces
     los = [pc.lo for pc in pieces]
     his = [pc.hi for pc in pieces]
     p1, p2 = p.p1, p.p2
+    turn = 1.0 if left else -1.0
     # A left end t lies in the piece with lo <= t < hi, a right end in the
     # piece with lo < t <= hi; the fixed end's piece is clipped at that end.
     kf = bisect.bisect_left(los, fixed) - 1 if left else bisect.bisect_right(his, fixed)
@@ -259,7 +269,8 @@ def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed:
     span = (pc.lo, min(fixed, pc.hi)) if left else (max(fixed, pc.lo), pc.hi)
     f1, f2 = _piece_integral(pc, p1, *span), _piece_integral(pc, p2, *span)
 
-    def ratio(t: float) -> float:
+    @functools.cache
+    def integrals(t: float) -> tuple[float, float, float]:
         if left:
             a, b, k = t, fixed, bisect.bisect_right(his, t)
         else:
@@ -276,10 +287,93 @@ def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed:
                 i2 += d2
             i1, i2 = i1 + e1, i2 + e2
         _check_integrals(i1, i2, p, (a, b))
-        length = b - a
+        return i1, i2, b - a
+
+    def ratio(t: float) -> float:
+        i1, i2, length = integrals(t)
         return _exp_norm(math.log(i1 / length) / p1 - math.log(i2 / length) / p2)
 
-    return ratio
+    def slope(t0: float):
+        pc = pieces[bisect.bisect_right(his, t0)]
+        e, log_c = pc.exponent, math.log(pc.value)
+
+        def ys(t: float) -> tuple[float, float, float]:
+            # In logs, so that w**p_k cannot overflow; a y past the double
+            # range reads as infinite, which keeps the sign of s.
+            i1, i2, length = integrals(t)
+            log_w = log_c - e * math.log(t) if e else log_c
+            log_l = math.log(length)
+            return (_exp_or_inf(p1 * log_w + log_l - math.log(i1)),
+                    _exp_or_inf(p2 * log_w + log_l - math.log(i2)), length)
+
+        def s(t: float) -> float:
+            if t == 0.0 and e:
+                # w is 0 or infinite at 0, and s tends to a negative limit
+                # (or -inf) in every sign case of (p1, p2, exponent).
+                return -math.inf
+            y1, y2, _ = ys(t)
+            st = turn * ((1.0 - y1) / p1 - (1.0 - y2) / p2)
+            # Within rounding of 0 the ratio is flat, as region-IV weights
+            # make it along whole cells: s reads 0, and a solve stops there.
+            if abs(st) < _FLAT_SLOPE * ((1.0 + y1) / abs(p1) + (1.0 + y2) / abs(p2)):
+                return 0.0
+            return st
+
+        def ds(t: float) -> float:
+            # dy_k/dt = y_k * (p_k * w'/w - turn * (1 - y_k)/L), w'/w = -e/t.
+            y1, y2, length = ys(t)
+            dy1 = y1 * (-p1 * e / t - turn * (1.0 - y1) / length)
+            dy2 = y2 * (-p2 * e / t - turn * (1.0 - y2) / length)
+            return turn * (dy2 / p2 - dy1 / p1)
+
+        return s, ds
+
+    return ratio, slope
+
+
+# The share of the slope's terms that rounding can leave in s (about 1e-14
+# in seeded region-IV weights, where s is 0 in exact arithmetic).
+_FLAT_SLOPE = 1e-13
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _refine(sweep, lo: float, mid: float, hi: float, best: float) -> tuple[float, float]:
+    """(ratio, t) at the best end t of the moving end's cell [lo, hi], whose
+    ratio at the grid end mid is best.
+
+    Each half [lo, mid], [mid, hi] lies inside one piece, so a breakpoint can
+    sit only at mid and the slope s is smooth on each half.  The ratio then
+    peaks at a root of s in a half whose ends read + then - (found by
+    Newton-bisection), at mid where s turns from + to - across it (at a jump,
+    a kink), or at a cell end that s leaves falling or reaches rising.
+    """
+    ratio, slope = sweep
+    sides: dict[float, list] = {}   # t -> [s just before t, s just after t]
+    peaks = []
+    for a, b in ((lo, mid), (mid, hi)):
+        if not b > a:
+            continue
+        s, ds = slope(a)
+        sa, sb = s(a), s(b)
+        sides.setdefault(a, [None, None])[1] = sa
+        sides.setdefault(b, [None, None])[0] = sb
+        if sa > 0.0 and not sb > 0.0:
+            peaks.append(solve(s, ds, a, b, sa, sb))
+    peaks += [t for t, (before, after) in sides.items()
+              if t != mid and (before is None or before > 0.0)
+              and (after is None or not after > 0.0)]
+    best_t = mid
+    for t in peaks:
+        val = ratio(t)
+        if val > best:
+            best, best_t = val, t
+    return best, best_t
 
 
 def _grid_averages(w: Weight, p: Params, ts: np.ndarray) -> np.ndarray:
@@ -329,13 +423,14 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
 
     Exact for step weights (every exponent 0).  With power pieces it
     is a lower estimate: candidate endpoints are all breakpoints plus
-    `resolution` geometric subdivisions per piece, and the best grid cell
-    gets one coordinate-wise golden-section refinement.  Grid and refinement
-    integrate each interval from the closed forms of its own pieces, as
-    moment does.  Each refinement step integrates only the piece that holds
-    the moving endpoint: whole pieces come from one per-piece table, the
-    fixed endpoint's piece from a cache.  A whole-piece integral or a norm
-    outside the double range raises NonIntegrableError.
+    `resolution` geometric subdivisions per piece, and from the best grid
+    interval each end in turn, the other fixed, moves to the best point of
+    its neighbour cells: a root of the ratio's slope, a jump or a cell end
+    (_refine).  Grid and refinement integrate each interval from the closed
+    forms of its own pieces, as moment does.  A refinement integrates only
+    the piece that holds the moving endpoint: whole pieces come from one
+    per-piece table, the fixed endpoint's piece from a cache.  A whole-piece
+    integral or a norm outside the double range raises NonIntegrableError.
     """
     require_powers(p, "apq_norm")
     if resolution < 2:
@@ -354,20 +449,14 @@ def apq_norm(w: Weight, p: Params, resolution: int = 16) -> float:
     i, j = np.unravel_index(int(np.argmax(logr)), logr.shape)
     best = _exp_norm(logr[i, j])
 
-    # One local refinement of each endpoint inside its neighbor cells.
+    # Each end in turn moves over its neighbour cells, the other end fixed.
     alpha, beta = float(ts[i]), float(ts[j])
     a_lo = float(ts[i - 1]) if i > 0 else alpha
-    a_hi = min(float(ts[i + 1]), beta * (1.0 - 1e-12)) if i + 1 < n else alpha
-    if a_hi > a_lo:
-        a_new, val = golden_max(_sweep(w, p, table, beta, True), a_lo, a_hi, 60)
-        if val > best:
-            best, alpha = val, a_new
-    b_lo = max(float(ts[j - 1]), alpha + 1e-15) if j > 0 else beta
+    a_hi = min(float(ts[i + 1]), beta * (1.0 - 1e-12))
+    best, alpha = _refine(_sweep(w, p, table, beta, True), a_lo, alpha, a_hi, best)
+    b_lo = max(float(ts[j - 1]), alpha + 1e-15)
     b_hi = float(ts[j + 1]) if j + 1 < n else beta
-    if b_hi > b_lo:
-        _, val = golden_max(_sweep(w, p, table, alpha, False), b_lo, b_hi, 60)
-        if val > best:
-            best = val
+    best, _ = _refine(_sweep(w, p, table, alpha, False), b_lo, beta, b_hi, best)
     return best
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apq import SolveError
-from apq._roots import expand, golden_max, solve
+from apq._roots import expand, solve
 
 
 def _bisect_reference(f, lo, hi, flo, fhi):
@@ -95,8 +95,3 @@ def test_expand_failures_are_solve_errors():
     with pytest.raises(SolveError):  # budget runs out
         expand(lambda s: -1.0, 1.0, 2.0, -1.0, 10, "root")
 
-
-def test_golden_max():
-    x, fx = golden_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, 60)
-    assert abs(x - 0.3) <= 1e-7
-    assert fx == -(x - 0.3) ** 2

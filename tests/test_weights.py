@@ -11,7 +11,7 @@ from apq import (DomainError, NonIntegrableError, Params, Piece, Region, Weight,
                  weight_from_json, weight_to_json)
 from apq import weights
 from apq.verify import sample_region_point
-from apq.weights import _candidate_points, _grid_averages, _piece_table, _sweep
+from apq.weights import _candidate_points, _grid_averages, _piece_table, _refine, _sweep
 
 from conftest import setup
 
@@ -210,6 +210,8 @@ POWER_HEAD = (Weight((Piece(0.0, 0.3, 1.0, 0.4), Piece(0.3, 1.0, 0.2))),
               Params(1.0, -1.0, 50.0))
 POWER_MIDDLE = (Weight((Piece(0.0, 0.2, 3.0), Piece(0.2, 0.7, 0.5, -0.8),
                         Piece(0.7, 1.0, 0.4))), Params(2.0, -1.0, 50.0))
+# Both refined ends stop at interior roots of the slope (`norm_power_tail`).
+POWER_TAIL = (Weight((Piece(0.0, 0.3, 0.2), Piece(0.3, 1.0, 0.4, 0.9))), Params(2.0, 1.0, 50.0))
 
 
 def _region_iv_weight(p1, p2, seed):
@@ -233,7 +235,7 @@ def test_refinement_ratio_is_the_moment_ratio_bit_for_bit():
             for left in (True, False):
                 if fixed == (0.0 if left else 1.0):
                     continue  # no interval ends at 0 or starts at 1
-                ratio = _sweep(w, p, table, fixed, left)
+                ratio, _ = _sweep(w, p, table, fixed, left)
                 for t in ends:
                     a, b = (t, fixed) if left else (fixed, t)
                     if not a < b:
@@ -298,6 +300,142 @@ def test_power_norm_refines_without_moment(monkeypatch):
 
     monkeypatch.setattr(weights, "moment", refuse)
     assert apq_norm(w, p) <= p.q * (1.0 + 1e-9)
+
+
+def _region_iv_cases(per_class=1):
+    """Seeded region-IV weights of the four bench classes and of two extreme
+    classes."""
+    cases = []
+    for k, cls in enumerate([(1.0, -1.0), (2.0, 1.0), (2.0, -1.0), (-0.5, -2.0),
+                             (5.0, 4.0, 1000.0), (6.0, 5.5, 2.0)]):
+        p, c = setup(*cls)
+        rng = np.random.default_rng(30 + k)
+        cases += [(build(sample_region_point(rng, c, p, Region.IV), c, p)[0], p)
+                  for _ in range(per_class)]
+    return cases
+
+
+# The weights whose refinement takes Newton steps, and the A2 witness.
+POWER_CASES = [POWER_HEAD, POWER_MIDDLE, POWER_TAIL, (power_witness(2.0), Params(1.0, -1.0, 2.0))]
+
+
+def _refined_cases():
+    return _region_iv_cases() + POWER_CASES
+
+
+def test_refined_norm_beats_a_scan_of_its_cells(monkeypatch):
+    cells = []
+
+    def recorded(sweep, lo, mid, hi, best):
+        out = _refine(sweep, lo, mid, hi, best)
+        cells.append((sweep[0], lo, hi, out[0]))
+        return out
+
+    monkeypatch.setattr(weights, "_refine", recorded)
+    for w, p in _refined_cases():
+        cells.clear()
+        norm = apq_norm(w, p)
+        assert len(cells) == 2
+        for ratio, lo, hi, got in cells:
+            assert got <= norm
+            scan = max(ratio(float(t)) for t in np.linspace(lo, hi, 4001))
+            assert got >= scan * (1.0 - 1e-13), (w, p, lo, hi)
+
+
+def test_slope_and_its_derivative_match_finite_differences():
+    # Central differences with a step h of 1e-4 of the distance to the nearest
+    # end.  The slope's terms (1 + y_k)/|p_k| set the scale; each tolerance
+    # adds 1e-12 of it over h for the differences' own rounding, all they
+    # resolve where a piece is too short to move the ratio, as the 1e-58-wide
+    # pieces of (5, 4, 1000) weights are.
+    rng = np.random.default_rng(31)
+    for w, p in _refined_cases():
+        table = _piece_table(w, p)
+        for fixed, left in ((1.0, True), (0.0, False), (float(rng.uniform(0.3, 0.7)), True)):
+            ratio, slope = _sweep(w, p, table, fixed, left)
+            for pc in w.pieces:
+                for u in (0.25, 0.5, 0.75):
+                    t = pc.lo + u * (pc.hi - pc.lo)
+                    if (t >= fixed) if left else (t <= fixed):
+                        continue
+                    a, b = (t, fixed) if left else (fixed, t)
+                    length = b - a
+                    scale = sum((1.0 + w.value_at(t) ** pk / moment(w, pk, (a, b))) / abs(pk)
+                                for pk in (p.p1, p.p2))
+                    h = 1e-4 * min(t - pc.lo, pc.hi - t, length)
+                    noise = 1e-12 * scale / h
+                    s, ds = slope(t)
+                    fd = (math.log(ratio(t + h)) - math.log(ratio(t - h))) / (2.0 * h)
+                    assert abs(s(t) / length - fd) <= 1e-6 * (abs(fd) + scale / length) + noise
+                    fds = (s(t + h) - s(t - h)) / (2.0 * h)
+                    curvature = scale * (1.0 / length + abs(pc.exponent) / t)
+                    assert abs(ds(t) - fds) <= 1e-6 * (abs(fds) + curvature) + noise, (w, p, t)
+
+
+@pytest.mark.parametrize("exponent", [0.4, -0.5])
+def test_refinement_from_zero_on_a_power_head(exponent):
+    # w is infinite (decreasing head) or 0 (increasing head) at the cell end
+    # t = 0, where the slope takes its limit's sign.
+    p = Params(1.0, -1.0, 2.0)
+    for w in (Weight((Piece(0.0, 1.0, 1.0, exponent),)),
+              Weight((Piece(0.0, 0.5, 1.0, exponent), Piece(0.5, 1.0, 3.0)))):
+        table = _piece_table(w, p)
+        ratio, slope = _sweep(w, p, table, 0.3, True)
+        s, _ = slope(0.0)
+        assert s(0.0) == -math.inf
+        best, t = _refine((ratio, slope), 0.0, 0.01, 0.02, ratio(0.01))
+        scan = max(ratio(float(u)) for u in np.linspace(0.0, 0.02, 201))
+        assert best >= scan * (1.0 - 1e-13)
+        assert apq_norm(w, p) >= best
+
+
+def test_jump_at_the_cell_centre_is_a_kink_maximum():
+    # Moving the left end of [t, 1] off the jump at 0.5 lowers the ratio on
+    # both sides: the slope reads + before the jump and - after it.
+    w = Weight((Piece(0.0, 0.5, 3.0), Piece(0.5, 1.0, 10.0 * 0.5**3, 3.0)))
+    p = Params(1.0, -1.0, 50.0)
+    ratio, slope = _sweep(w, p, _piece_table(w, p), 1.0, True)
+    assert slope(0.4)[0](0.5) > 0.0 > slope(0.5)[0](0.5)
+    at_jump = ratio(0.5)
+    assert _refine((ratio, slope), 0.4, 0.5, 0.6, at_jump) == (at_jump, 0.5)
+    assert max(ratio(float(t)) for t in np.linspace(0.4, 0.6, 401)) == at_jump
+    # With the jump at a cell end instead, the end that s reaches rising, or
+    # leaves falling, is the peak.
+    assert _refine((ratio, slope), 0.3, 0.4, 0.5, ratio(0.4)) == (at_jump, 0.5)
+    assert _refine((ratio, slope), 0.5, 0.55, 0.6, ratio(0.55)) == (at_jump, 0.5)
+
+
+def test_refinement_evaluations_per_norm(monkeypatch):
+    # Slope signs at the four half-cell ends of each moving end, Newton steps
+    # where a half turns from rising to falling, one ratio per candidate peak;
+    # two 60-step golden-section searches took 124 ratios.  Region-IV ratios
+    # are flat or peak at a cell end, 6.4 evaluations a norm here, and reading
+    # s as 0 within rounding keeps flat halves from being solved; the POWER_*
+    # ratios take Newton steps.
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(t):
+            calls[0] += 1
+            return fn(t)
+        return wrapper
+
+    def counted_sweep(*args):
+        ratio, slope = sweep(*args)
+
+        def counted_slope(t0):
+            s, ds = slope(t0)
+            return counted(s), ds
+
+        return counted(ratio), counted_slope
+
+    sweep = weights._sweep
+    monkeypatch.setattr(weights, "_sweep", counted_sweep)
+    for cases, per_norm in ((_region_iv_cases(5), 12), (POWER_CASES[:3], 30)):
+        calls[0] = 0
+        for w, p in cases:
+            apq_norm(w, p)
+        assert calls[0] <= per_norm * len(cases)
 
 
 def test_cutoff_examples():

@@ -86,9 +86,9 @@ FOUND_WEIGHT = {"pieces": [
     {"kind": "const", "value": 0.0997, "lo": 20.0 / 21.0, "hi": 1.0},
 ]}
 
-# Power-piece weights whose golden-section refinement moves the norm well past
-# the grid estimate: 3.9397978997795 -> 3.94265616200929 at (1, -1, 50), and
-# 6.76698545223 -> 7.136051374724213 at (2, -1, 50).
+# Power-piece weights whose refinement moves the norm well past the grid
+# estimate: 3.9397978997795 -> 3.94265616200929 at (1, -1, 50), and
+# 6.76698545223 -> 7.136051379327423 at (2, -1, 50).
 POWER_HEAD_WEIGHT = {"pieces": [
     {"kind": "power", "coef": 1.0, "exponent": 0.4, "lo": 0.0, "hi": 0.3},
     {"kind": "const", "value": 0.2, "lo": 0.3, "hi": 1.0},
@@ -97,6 +97,13 @@ POWER_MIDDLE_WEIGHT = {"pieces": [
     {"kind": "const", "value": 3.0, "lo": 0.0, "hi": 0.2},
     {"kind": "power", "coef": 0.5, "exponent": -0.8, "lo": 0.2, "hi": 0.7},
     {"kind": "const", "value": 0.4, "lo": 0.7, "hi": 1.0},
+]}
+# Both refined ends stop at interior stationary points of the ratio, found by
+# Newton steps on its slope, the right one inside the power piece:
+# 1.39864334241404 -> 1.4060601975818927 at (2, 1, 50).
+POWER_TAIL_WEIGHT = {"pieces": [
+    {"kind": "const", "value": 0.2, "lo": 0.0, "hi": 0.3},
+    {"kind": "power", "coef": 0.4, "exponent": 0.9, "lo": 0.3, "hi": 1.0},
 ]}
 # A "power" piece with exponent 0 is a constant: the weight is the step
 # weight 2, 0.6 with its break at 0.3, and takes the exact step norm.
@@ -109,6 +116,7 @@ NORM_WEIGHTS = {
     "found": (("1", "-1", FOUND_Q), FOUND_WEIGHT),
     "power_head": (("1", "-1", "50"), POWER_HEAD_WEIGHT),
     "power_middle": (("2", "-1", "50"), POWER_MIDDLE_WEIGHT),
+    "power_tail": (("2", "1", "50"), POWER_TAIL_WEIGHT),
     "power_exponent_0": (("1", "-1", "2"), POWER_EXPONENT_0_WEIGHT),
 }
 
