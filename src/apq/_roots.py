@@ -1,14 +1,15 @@
 """The one-dimensional solvers every other module uses.
 
-Each root the package needs is a monotone scalar problem: the tangency roots
-gamma_minus < 1 < gamma_plus, the chord crossings through U(1) (regions I
-and III), the region-IV tangent parameter, their limiting-class
-counterparts, and the stationary point of the class ratio that the
-class-norm estimate refines towards.  All of them are solved the same way:
-grow a bracket geometrically until the sign flips (expand), then shrink it
-by safeguarded Newton-bisection (solve; rtsafe in Numerical Recipes 9.4).
-The implicit parameters pass a derivative and settle in about ten
-evaluations; the one-shot solves pass none and bisect to float exhaustion.
+Each root the package needs is a scalar problem with one sign change: the
+tangency roots gamma_minus < 1 < gamma_plus, the chord crossings through U(1)
+(regions I and III), the region-IV tangent parameter, their limiting-class
+counterparts, and the stationary points of the class ratio that the
+class-norm estimate refines its endpoints to.  All of them are solved the
+same way: grow a bracket geometrically until the sign flips (expand), then
+shrink it by safeguarded Newton-bisection (solve; rtsafe in Numerical
+Recipes 9.4).  The implicit parameters and the class ratio pass a derivative
+and settle in a few to ten evaluations; the one-shot solves pass none and
+bisect to float exhaustion.
 """
 
 from __future__ import annotations

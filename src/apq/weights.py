@@ -301,13 +301,13 @@ def _sweep(w: Weight, p: Params, table: list[tuple[float, float, float]], fixed:
             # In logs, so that w**p_k cannot overflow; a y past the double
             # range reads as infinite, which keeps the sign of s.
             i1, i2, length = integrals(t)
-            log_w = log_c - e * math.log(t) if e else log_c
+            log_w = log_c - e * math.log(t) if e != 0.0 else log_c
             log_l = math.log(length)
             return (_exp_or_inf(p1 * log_w + log_l - math.log(i1)),
                     _exp_or_inf(p2 * log_w + log_l - math.log(i2)), length)
 
         def s(t: float) -> float:
-            if t == 0.0 and e:
+            if t == 0.0 and e != 0.0:
                 # w is 0 or infinite at 0, and s tends to a negative limit
                 # (or -inf) in every sign case of (p1, p2, exponent).
                 return -math.inf
